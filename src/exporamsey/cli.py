@@ -18,6 +18,7 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -372,6 +373,12 @@ def _run_greedy(args, cfg: RunConfig, out) -> int:
     return EXIT_OK
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The process's one parser; parse_args leaves it unchanged."""
+    return build_parser()
+
+
 _COMMANDS = {
     "structures": _run_structures,
     "triples": _run_triples,
@@ -383,9 +390,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 0 for --help; anything else is a usage error
         return EXIT_OK if exc.code == 0 else EXIT_USAGE

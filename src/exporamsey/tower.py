@@ -10,6 +10,17 @@ Ordering of two forms with different roots compares exponent * log2(root)
 using exact rational interval bounds with adaptive precision doubling.
 Distinct canonical forms have distinct values, so the intervals always
 separate at some finite precision.
+
+Sorting does not call that exact `compare` per pair.  Each form gets the
+float key log2(exponent) + log2(log2(root)), which is log2(log2(value)):
+strictly increasing in the value for roots >= 2, and computable for any
+exponent because math.log2 accepts ints of any size.  The computed key is
+within 2**-48 * max(1, key) of the exact one.  So two forms the float order
+gets wrong have keys less than 2**-47 * max(1, key) apart, and the neighbours
+between them in float order are closer still.  Runs of neighbours whose
+keys differ by at most tau = _KEY_TIE * max(1, key), with _KEY_TIE = 2**-44
+(8x that margin), are re-sorted with the exact `compare`; every other
+neighbour pair is ordered correctly by its keys.
 """
 
 from __future__ import annotations
@@ -17,7 +28,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import total_ordering
+from functools import cmp_to_key, total_ordering
+from operator import itemgetter
 
 from .config import Caps, DEFAULT_CAPS
 from .errors import CapacityError, DomainError
@@ -29,6 +41,15 @@ _EXPLICIT_CMP_BITS = 1 << 15
 # Adaptive-precision ceiling; separation is guaranteed mathematically long
 # before this, so hitting it indicates a bug rather than a hard input.
 _MAX_CMP_PRECISION = 1 << 24
+# Relative tie width of the float sort key; see the module docstring.  A key
+# is A + B with A = log2(e) >= 0 and B = log2(log2(r)) >= 0.  math.log2 of
+# an int rounds it to a 53-bit mantissa (ints wider than a double keep an
+# exact binary exponent), so |err A| <= 2**-51 + ulp(A).  log2(r) >= 1 is
+# off by a relative 2**-51 at most, which B turns into 2**-51/ln 2, so
+# |err B| <= 2**-50 + ulp(B).  The sum rounds by half an ulp, and
+# ulp(A), ulp(B) <= ulp(key) <= 2**-52 * key: in all, at most
+# 1.4e-15 + 5.6e-16 * key < 2**-48 * max(1, key).
+_KEY_TIE = 2.0 ** -44
 
 
 def ikth_root(n: int, k: int) -> int:
@@ -223,8 +244,36 @@ def compare(a: PowerForm, b: PowerForm) -> int:
 
 
 def sorted_forms(forms) -> list[PowerForm]:
-    """Ascending value order (canonical forms, so the order is strict)."""
-    return sorted(forms)
+    """Ascending value order (canonical forms, so the order is strict).
+
+    Sorts by the float key of the module docstring and settles only runs of
+    near-tied keys with the exact `compare`.
+    """
+    loglog = {}  # root -> log2(log2(root)), shared by every form of a root
+    keyed = []
+    for f in forms:
+        lr = loglog.get(f.root)
+        if lr is None:
+            lr = loglog[f.root] = math.log2(math.log2(f.root))
+        keyed.append((math.log2(f.exponent) + lr, f))
+    keyed.sort(key=itemgetter(0))
+    out = []
+    start = 0
+    prev = 0.0
+    for i, (key, f) in enumerate(keyed):
+        if i and key - prev > _KEY_TIE * max(1.0, key):
+            _settle_ties(out, start, i)
+            start = i
+        out.append(f)
+        prev = key
+    _settle_ties(out, start, len(out))
+    return out
+
+
+def _settle_ties(out: list[PowerForm], start: int, stop: int) -> None:
+    """Exactly order out[start:stop], a run of near-tied float keys."""
+    if stop - start > 1:
+        out[start:stop] = sorted(out[start:stop], key=cmp_to_key(compare))
 
 
 def powerform_record(a: PowerForm, caps: Caps = DEFAULT_CAPS) -> dict:

@@ -14,7 +14,9 @@ from typing import Iterable, Iterator, Sequence
 from .config import Caps, DEFAULT_CAPS
 from .errors import CapacityError, DomainError
 from .tower import (
+    LT,
     PowerForm,
+    compare,
     normalize,
     powerform_record,
     powerform_from_record,
@@ -81,19 +83,26 @@ def enumerate_triples(n: int, caps: Caps = DEFAULT_CAPS) -> list[ExpTriple]:
 def triples_within(forms: Iterable[PowerForm], caps: Caps = DEFAULT_CAPS) -> list[ExpTriple]:
     """All triples with a, b, c in the set and b explicitly evaluable."""
     verts = sorted_forms(set(forms))
-    index = {(v.root, v.exponent): v for v in verts}
-    evaluable = [(v, try_evaluate(v, caps)) for v in verts]
-    out = []
-    for a in verts:
-        for b, vb in evaluable:
-            if vb is None:
-                continue
-            c = index.get((a.root, a.exponent * vb))
-            if c is not None:
-                out.append(ExpTriple(a, b, c))
-    pos = {v: i for i, v in enumerate(verts)}
-    out.sort(key=lambda t: (pos[t.c], pos[t.a], pos[t.b]))
-    return out
+    by_root: dict[int, dict[int, int]] = {}  # root -> {exponent: vertex index}
+    for i, v in enumerate(verts):
+        by_root.setdefault(v.root, {})[v.exponent] = i
+    top = {root: max(exps) for root, exps in by_root.items()}
+    # ascending by value, so a.exponent * vb grows along the inner loop
+    evaluable = [
+        (j, vb) for j, v in enumerate(verts) if (vb := try_evaluate(v, caps)) is not None
+    ]
+    found = []
+    for i, a in enumerate(verts):
+        same_root, limit = by_root[a.root], top[a.root]
+        for j, vb in evaluable:
+            exp = a.exponent * vb
+            if exp > limit:
+                break
+            k = same_root.get(exp)
+            if k is not None:
+                found.append((k, i, j))
+    found.sort()
+    return [ExpTriple(verts[i], verts[j], verts[k]) for k, i, j in found]
 
 
 @dataclass(frozen=True)
@@ -151,10 +160,9 @@ def exp_closure(seeds: Iterable[int], depth: int, caps: Caps = DEFAULT_CAPS) -> 
     dropped = 0
     truncated = 0
     for _ in range(depth):
-        current = sorted_forms(vertices)
-        evaluable = [(v, try_evaluate(v, caps)) for v in current]
+        evaluable = [(v, try_evaluate(v, caps)) for v in vertices]
         new = set()
-        for a in current:
+        for a in vertices:
             for b, vb in evaluable:
                 if vb is None:
                     continue
@@ -231,7 +239,7 @@ def hypergraph_from_record(rec: dict, caps: Caps = DEFAULT_CAPS) -> TripleHyperg
         meta_rec = rec.get("meta", {})
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed hypergraph record: {exc}") from exc
-    if sorted_forms(verts) != list(verts) or len(set(verts)) != len(verts):
+    if any(compare(x, y) != LT for x, y in zip(verts, verts[1:])):
         raise DomainError("hypergraph vertices must be distinct and ascending")
     for e in raw_edges:
         if len(e) != 3 or any(i < 0 or i >= len(verts) for i in e):

@@ -249,6 +249,19 @@ def test_exit_codes():
     assert code == 1  # rule syntax error is a domain error
 
 
+def test_parser_state_does_not_leak_between_calls():
+    base = ("closure", "--seeds", "2", "--depth", "2")
+    code, first = run_cli(*base)
+    assert code == 0
+    code, small = run_cli("--vertex-budget", "3", *base)
+    assert code == 0 and small != first
+    assert run_cli("nonsense")[0] == 3
+    assert run_cli(*base) == (0, first)
+    code, help_text = run_cli("--help")
+    assert code == 0 and help_text.startswith("usage: exporamsey")
+    assert run_cli("--help") == (0, help_text)
+
+
 def test_deterministic_byte_identical():
     args = ("--deterministic", "closure", "--seeds", "2,3", "--depth", "2")
     _, first = run_cli(*args)

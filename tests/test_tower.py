@@ -1,8 +1,13 @@
 """Canonical power-form arithmetic against big-integer ground truth."""
 
+import math
 import random
+from decimal import Decimal, localcontext
+from functools import cmp_to_key
 
 import pytest
+
+from exporamsey import tower
 
 from exporamsey import (
     CapacityError,
@@ -16,6 +21,7 @@ from exporamsey import (
     evaluate,
     normalize,
     power,
+    exp_closure,
     try_evaluate,
 )
 from exporamsey.tower import (
@@ -212,3 +218,83 @@ def test_ordering_dunders():
     forms = [normalize(n) for n in (81, 2, 256, 7, 36)]
     assert [evaluate(f) for f in sorted(forms)] == [2, 7, 36, 81, 256]
     assert normalize(4) < PowerForm(2, 5000)
+
+
+def _exact_sorted(forms):
+    return sorted(forms, key=cmp_to_key(compare))
+
+
+def _float_key(f):
+    return math.log2(f.exponent) + math.log2(math.log2(f.root))
+
+
+def test_sorted_forms_matches_exact_order_random():
+    rng = random.Random(23)
+    cap = Caps().exp_bit_cap
+    big_roots = [normalize(rng.randrange(10 ** 30, 10 ** 31)).root for _ in range(4)]
+    roots = [2, 3, 5, 6, 7, 10, 11, 12, 13] + big_roots
+    for _ in range(40):
+        forms = []
+        for _ in range(rng.randrange(1, 60)):
+            kind = rng.randrange(3)
+            if kind == 0:
+                exp = rng.randrange(1, 200)
+            elif kind == 1:
+                exp = rng.randrange(1, 1 << rng.randrange(1, 200))
+            else:  # exponents near the exponent bit cap
+                exp = rng.randrange(1 << (cap - 2), 1 << cap)
+            forms.append(PowerForm(rng.choice(roots), exp))
+        assert sorted_forms(forms) == _exact_sorted(forms)
+
+
+def _log2_3_convergents(max_q):
+    """Continued-fraction convergents p/q of log2(3) with q <= max_q."""
+    with localcontext() as ctx:
+        ctx.prec = 120
+        x = Decimal(3).ln() / Decimal(2).ln()
+        out = []
+        p0, q0, p1, q1 = 1, 0, int(x), 1
+        while q1 <= max_q:
+            out.append((p1, q1))
+            x = 1 / (x - int(x))
+            a = int(x)
+            p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
+    return out
+
+
+def test_sorted_forms_adversarial_near_ties():
+    e = 1 << 60
+    same_root = [PowerForm(2, e), PowerForm(2, e + 1), PowerForm(3, e), PowerForm(3, e + 1)]
+    # the float keys of the same-root pairs collide
+    assert _float_key(same_root[0]) == _float_key(same_root[1])
+    forms = list(same_root)
+    for p, q in _log2_3_convergents(10 ** 24):
+        for k in (0, 1, 7, 40):
+            forms.append(PowerForm(2, p << k))
+            forms.append(PowerForm(3, q << k))
+    assert (1054, 665) in _log2_3_convergents(10 ** 4)
+    rng = random.Random(29)
+    for _ in range(5):
+        rng.shuffle(forms)
+        assert sorted_forms(forms) == _exact_sorted(forms)
+    # duplicates keep their multiplicity, next to each other
+    dup = forms[:30] + forms[:30] + [PowerForm(2, 1054)] * 3
+    rng.shuffle(dup)
+    assert sorted_forms(dup) == _exact_sorted(dup)
+    assert sorted_forms([]) == []
+
+
+def test_sorted_forms_rarely_falls_back_to_compare(monkeypatch):
+    verts = list(exp_closure({2, 3, 5}, 2).vertices)
+    calls = []
+    exact = tower.compare
+
+    def counting_compare(a, b):
+        calls.append((a, b))
+        return exact(a, b)
+
+    monkeypatch.setattr(tower, "compare", counting_compare)
+    shuffled = verts[:]
+    random.Random(31).shuffle(shuffled)
+    assert sorted_forms(shuffled) == verts
+    assert len(calls) <= 5  # only near-tied float keys reach the exact compare

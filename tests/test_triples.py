@@ -160,6 +160,10 @@ def test_hypergraph_record_roundtrip():
     bad = dict(rec, edges=[[0, 0, 0]])
     with pytest.raises(DomainError):
         hypergraph_from_record(bad)
+    verts = rec["vertices"]
+    for bad_verts in (verts[::-1], verts[:2] + verts[1:]):
+        with pytest.raises(DomainError, match="distinct and ascending"):
+            hypergraph_from_record(dict(rec, vertices=bad_verts, edges=[]))
 
 
 def test_triple_record_labels():
