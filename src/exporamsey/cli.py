@@ -41,6 +41,8 @@ EXIT_DOMAIN = 1
 EXIT_CAPACITY = 2
 EXIT_USAGE = 3
 
+_FORMATS = ("json", "csv", "dimacs")
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -69,13 +71,11 @@ def build_parser() -> _Parser:
     parser.add_argument("--vertex-budget", type=int, default=None)
     parser.add_argument("--search-budget", type=int, default=None,
                         help="seed/fegen search budget")
-    parser.add_argument("--rng-seed", type=int, default=None,
-                        help="seed for randomized experiment drivers (recorded)")
     parser.add_argument("--threads", type=int, default=None,
                         help="worker count; EXPORAMSEY_THREADS overrides the default")
     parser.add_argument("--deterministic", action="store_true", default=None,
                         help="single-threaded, byte-stable output")
-    parser.add_argument("--format", choices=("json", "csv", "dimacs"), default=None)
+    parser.add_argument("--format", choices=_FORMATS, default=None)
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -194,20 +194,31 @@ def _load_config(args) -> RunConfig:
             return flag_value
         return file_values.get(key, fallback)
 
+    def pick_int(flag_value, key, fallback=None):
+        value = pick(flag_value, key, fallback)
+        if value is not None and type(value) is not int:  # bool is not a count
+            raise DomainError(f"config value {key} must be an integer, got {value!r}")
+        return value
+
     caps = caps_with(
         DEFAULT_CAPS,
-        value_bit_cap=pick(args.value_bit_cap, "value_bit_cap", None),
-        exp_bit_cap=pick(args.exp_bit_cap, "exp_bit_cap", None),
-        vertex_budget=pick(args.vertex_budget, "vertex_budget", None),
-        seed_search_budget=pick(args.search_budget, "search_budget", None),
-        fegen_budget=pick(args.search_budget, "search_budget", None),
+        value_bit_cap=pick_int(args.value_bit_cap, "value_bit_cap"),
+        exp_bit_cap=pick_int(args.exp_bit_cap, "exp_bit_cap"),
+        vertex_budget=pick_int(args.vertex_budget, "vertex_budget"),
+        seed_search_budget=pick_int(args.search_budget, "search_budget"),
+        fegen_budget=pick_int(args.search_budget, "search_budget"),
     )
+    threads = pick_int(args.threads, "threads", threads_from_env(1))
+    if threads < 1:
+        raise DomainError(f"threads must be >= 1, got {threads}")
+    fmt = pick(args.format, "format", "json")
+    if fmt not in _FORMATS:
+        raise DomainError(f"format must be one of {', '.join(_FORMATS)}, got {fmt!r}")
     return RunConfig(
         caps=caps,
-        rng_seed=pick(args.rng_seed, "rng_seed", 0),
         deterministic=bool(pick(args.deterministic, "deterministic", False)),
-        threads=pick(args.threads, "threads", threads_from_env(1)),
-        fmt=pick(args.format, "format", "json"),
+        threads=threads,
+        fmt=fmt,
     )
 
 

@@ -341,9 +341,12 @@ def coloring_from_record(h: TripleHypergraph, rec: dict, caps: Caps = DEFAULT_CA
     colors = []
     for v in h.vertices:
         label = vertex_label(v, caps)
-        if label not in mapping:
-            raise DomainError(f"partial assignment: vertex {label} has no color")
-        colors.append(int(mapping[label]))
+        try:
+            colors.append(int(mapping[label]))
+        except KeyError:
+            raise DomainError(f"partial assignment: vertex {label} has no color") from None
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"malformed color for vertex {label}: {exc}") from exc
     return Coloring(k=k, colors=tuple(colors))
 
 

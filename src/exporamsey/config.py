@@ -44,14 +44,9 @@ class RunConfig:
     """One CLI invocation's resolved configuration."""
 
     caps: Caps = DEFAULT_CAPS
-    rng_seed: int = 0            # reserved for randomized experiment drivers
     deterministic: bool = False  # force single-threaded, byte-stable output
     threads: int = 1
     fmt: str = "json"
-
-    @property
-    def worker_count(self) -> int:
-        return 1 if self.deterministic else self.threads
 
 
 def threads_from_env(default: int = 1) -> int:

@@ -103,12 +103,17 @@ def _least_member(spec: SetSpec, lo: int, hi: int) -> int | None:
     return None
 
 
-def greedy_fe1(
-    spec: SetSpec, depth: int, window: tuple[int, int], caps: Caps = DEFAULT_CAPS
+def _greedy_fe(
+    spec: SetSpec, depth: int, window: tuple[int, int], caps: Caps, kind: str
 ) -> FeCertificate | GreedyFailure:
-    """Least-element type-I recurrence inside the window, fully certified."""
+    """The least-element recurrence of either type; see greedy_fe1/greedy_fe2.
+
+    The kinds differ only in a step's queries for a candidate m: type I asks
+    j**m for j in [2, N_i], type II asks m**y for y in the level's values.
+    """
     if depth < 0:
         raise DomainError("depth must be >= 0")
+    type_one = kind == "fe1"
     lo, hi = window
     try:
         x0 = _least_member(spec, max(lo, 2), hi)
@@ -118,13 +123,18 @@ def greedy_fe1(
         return GreedyFailure(step=0, reason="no x_0")
     xs = [x0]
     for i in range(depth):
-        level = fe1(xs, i, caps)
+        level = (fe1 if type_one else fe2)(xs, i, caps)
         try:
-            n_i = max_element_value(level, caps)
+            if type_one:
+                n_i = max_element_value(level, caps)
+                others = range(2, n_i + 1)
+            else:
+                others = sorted(evaluate(pf, caps) for pf in level.elements)
         except CapacityError:
+            what = "maximum" if type_one else "element"
             return GreedyFailure(step=i + 1, reason="oracle range",
-                                 detail="level maximum not evaluable")
-        if n_i > caps.greedy_base_limit:
+                                 detail=f"level {what} not evaluable")
+        if type_one and n_i > caps.greedy_base_limit:
             return GreedyFailure(step=i + 1, reason="capacity",
                                  detail=f"level maximum {n_i} exceeds greedy_base_limit")
         chosen = None
@@ -132,7 +142,8 @@ def greedy_fe1(
             for m in range(xs[-1] + 1, hi + 1):
                 if not spec.contains(m):
                     continue
-                if all(spec.contains(_safe_pow(j, m)) for j in range(2, n_i + 1)):
+                if all(spec.contains(_safe_pow(o, m) if type_one else _safe_pow(m, o))
+                       for o in others):
                     chosen = m
                     break
         except OracleRangeError as exc:
@@ -142,52 +153,24 @@ def greedy_fe1(
         if chosen is None:
             return GreedyFailure(step=i + 1, reason="empty intersection")
         xs.append(chosen)
-    result = _certify(spec, xs, depth, "fe1", caps)
+    result = _certify(spec, xs, depth, kind, caps)
     if isinstance(result, FeCertificate) and not verify_fe_certificate(spec, result, caps):
         raise AssertionError("certificate failed independent re-verification")
     return result
+
+
+def greedy_fe1(
+    spec: SetSpec, depth: int, window: tuple[int, int], caps: Caps = DEFAULT_CAPS
+) -> FeCertificate | GreedyFailure:
+    """Least-element type-I recurrence inside the window, fully certified."""
+    return _greedy_fe(spec, depth, window, caps, "fe1")
 
 
 def greedy_fe2(
     spec: SetSpec, depth: int, window: tuple[int, int], caps: Caps = DEFAULT_CAPS
 ) -> FeCertificate | GreedyFailure:
     """Least-element type-II recurrence: x_{i+1}**y stays in A for current y."""
-    if depth < 0:
-        raise DomainError("depth must be >= 0")
-    lo, hi = window
-    try:
-        x0 = _least_member(spec, max(lo, 2), hi)
-    except OracleRangeError as exc:
-        return GreedyFailure(step=0, reason="oracle range", detail=str(exc.value))
-    if x0 is None:
-        return GreedyFailure(step=0, reason="no x_0")
-    xs = [x0]
-    for i in range(depth):
-        level = fe2(xs, i, caps)
-        try:
-            exponents = sorted(evaluate(pf, caps) for pf in level.elements)
-        except CapacityError:
-            return GreedyFailure(step=i + 1, reason="oracle range",
-                                 detail="level element not evaluable")
-        chosen = None
-        try:
-            for m in range(xs[-1] + 1, hi + 1):
-                if not spec.contains(m):
-                    continue
-                if all(spec.contains(_safe_pow(m, y)) for y in exponents):
-                    chosen = m
-                    break
-        except OracleRangeError as exc:
-            return GreedyFailure(step=i + 1, reason="oracle range", detail=str(exc.value))
-        except CapacityError as exc:
-            return GreedyFailure(step=i + 1, reason="capacity", detail=str(exc))
-        if chosen is None:
-            return GreedyFailure(step=i + 1, reason="empty intersection")
-        xs.append(chosen)
-    result = _certify(spec, xs, depth, "fe2", caps)
-    if isinstance(result, FeCertificate) and not verify_fe_certificate(spec, result, caps):
-        raise AssertionError("certificate failed independent re-verification")
-    return result
+    return _greedy_fe(spec, depth, window, caps, "fe2")
 
 
 @dataclass(frozen=True)
@@ -240,6 +223,24 @@ def _f_value(mode: tuple[str, int], prefix: tuple[int, ...], multiplicative: boo
         return None
 
 
+def _combine(values, indices, multiplicative: bool) -> int:
+    """Sum (additive) or product (multiplicative) of values[i] over indices."""
+    if multiplicative:
+        v = 1
+        for i in indices:
+            v *= values[i]
+        return v
+    return sum(values[i] for i in indices)
+
+
+def _family_holds(spec: SetSpec, v: int, l: int, multiplicative: bool) -> bool:
+    """t**v in A for t in [2, l], or v**t in A for t in [1, l] if multiplicative."""
+    for t in range(1 if multiplicative else 2, l + 1):
+        if not spec.contains(_safe_pow(v, t) if multiplicative else _safe_pow(t, v)):
+            return False
+    return True
+
+
 def _block_candidates(start: int, n: int, size_limit: int) -> list[tuple[int, ...]]:
     pool = range(start, n)
     combos = itertools.chain.from_iterable(
@@ -270,36 +271,13 @@ def _search_blocks(
     explored = 0
     undecidable = 0
 
-    def block_value(block: tuple[int, ...]) -> int:
-        if multiplicative:
-            v = 1
-            for i in block:
-                v *= ys[i]
-            return v
-        return sum(ys[i] for i in block)
-
-    def family_value(xs: list[int], mask_indices: list[int]) -> int:
-        if multiplicative:
-            v = 1
-            for j in mask_indices:
-                v *= xs[j]
-            return v
-        return sum(xs[j] for j in mask_indices)
-
     def conditions_hold(xs: list[int], level_max: list[int], j: int) -> bool:
         """Check every family F with max F = j against the oracle."""
-        t_lo = 1 if multiplicative else 2
         for mask in range(1 << j):
             family = [i for i in range(j) if mask >> i & 1] + [j]
-            l = level_max[min(family)]
-            v = family_value(xs, family)
-            for t in range(t_lo, l + 1):
-                if multiplicative:
-                    value = _safe_pow(v, t)
-                else:
-                    value = _safe_pow(t, v)
-                if not spec.contains(value):
-                    return False
+            v = _combine(xs, family, multiplicative)
+            if not _family_holds(spec, v, level_max[min(family)], multiplicative):
+                return False
         return True
 
     def dfs(blocks: list[tuple[int, ...]], xs: list[int], level_max: list[int]):
@@ -322,7 +300,7 @@ def _search_blocks(
             explored += 1
             if explored > limit:
                 raise _SearchBudget()
-            x_j = block_value(block)
+            x_j = _combine(ys, block, multiplicative)
             try:
                 ok = conditions_hold(xs + [x_j], level_max + [f_j], j)
             except (OracleRangeError, CapacityError):
@@ -357,31 +335,16 @@ def _verify_state(spec, ys, state: GreedyState, mode, caps, multiplicative: bool
         if min(cur) <= max(prev):
             raise AssertionError("blocks violate the increasing-index discipline")
     for j, block in enumerate(state.blocks):
-        if multiplicative:
-            v = 1
-            for i in block:
-                v *= ys[i]
-        else:
-            v = sum(ys[i] for i in block)
-        if v != state.chosen[j]:
+        if _combine(ys, block, multiplicative) != state.chosen[j]:
             raise AssertionError("chosen value disagrees with its block")
         expect_f = _f_value(mode, state.chosen[:j], multiplicative, caps)
         if expect_f != state.level_max[j]:
             raise AssertionError("recorded f value disagrees with recomputation")
-    t_lo = 1 if multiplicative else 2
     for mask in range(1, 1 << m):
         family = [j for j in range(m) if mask >> j & 1]
-        l = state.level_max[min(family)]
-        if multiplicative:
-            v = 1
-            for j in family:
-                v *= state.chosen[j]
-        else:
-            v = sum(state.chosen[j] for j in family)
-        for t in range(t_lo, l + 1):
-            value = _safe_pow(v, t) if multiplicative else _safe_pow(t, v)
-            if not spec.contains(value):
-                raise AssertionError("success state fails its own conditions")
+        v = _combine(state.chosen, family, multiplicative)
+        if not _family_holds(spec, v, state.level_max[min(family)], multiplicative):
+            raise AssertionError("success state fails its own conditions")
 
 
 def search_fegen1(

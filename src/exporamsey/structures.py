@@ -103,6 +103,16 @@ def fe2(seeds: Sequence[int], level: int, caps: Caps = DEFAULT_CAPS) -> FeLevel:
     return _fe(seeds, level, caps, type_one=False)
 
 
+def _capped_pow(base: int, exp: int, caps: Caps) -> int:
+    """base**exp within value_bit_cap; a bit-length bound rejects huge powers unbuilt."""
+    if exp * base.bit_length() > 2 * caps.value_bit_cap:
+        raise CapacityError(f"{base}**{exp} exceeds value_bit_cap {caps.value_bit_cap}")
+    v = base ** exp
+    if v.bit_length() > caps.value_bit_cap:
+        raise CapacityError(f"{base}**{exp} exceeds value_bit_cap {caps.value_bit_cap}")
+    return v
+
+
 def pow_image_base(n: int, s: Iterable[int], caps: Caps = DEFAULT_CAPS) -> set[int]:
     """{ n**x : x in s } for a fixed base n >= 2."""
     if not isinstance(n, int) or n < 2:
@@ -111,12 +121,7 @@ def pow_image_base(n: int, s: Iterable[int], caps: Caps = DEFAULT_CAPS) -> set[i
     for x in s:
         if not isinstance(x, int) or x < 0:
             raise DomainError("exponents must be non-negative integers")
-        if x * n.bit_length() > 2 * caps.value_bit_cap:
-            raise CapacityError(f"{n}**{x} exceeds value_bit_cap {caps.value_bit_cap}")
-        v = n ** x
-        if v.bit_length() > caps.value_bit_cap:
-            raise CapacityError(f"{n}**{x} exceeds value_bit_cap {caps.value_bit_cap}")
-        out.add(v)
+        out.add(_capped_pow(n, x, caps))
     return out
 
 
@@ -128,12 +133,7 @@ def pow_image_exp(s: Iterable[int], n: int, caps: Caps = DEFAULT_CAPS) -> set[in
     for x in s:
         if not isinstance(x, int) or x < 1:
             raise DomainError("bases must be positive integers")
-        if n * x.bit_length() > 2 * caps.value_bit_cap:
-            raise CapacityError(f"{x}**{n} exceeds value_bit_cap {caps.value_bit_cap}")
-        v = x ** n
-        if v.bit_length() > caps.value_bit_cap:
-            raise CapacityError(f"{x}**{n} exceeds value_bit_cap {caps.value_bit_cap}")
-        out.add(v)
+        out.add(_capped_pow(x, n, caps))
     return out
 
 

@@ -144,10 +144,6 @@ def _value_bits_bounds(a: PowerForm) -> tuple[int, int]:
     return a.exponent * (bl - 1) + 1, a.exponent * bl
 
 
-def is_evaluable(a: PowerForm, caps: Caps = DEFAULT_CAPS) -> bool:
-    return try_evaluate(a, caps) is not None
-
-
 def try_evaluate(a: PowerForm, caps: Caps = DEFAULT_CAPS) -> int | None:
     """The explicit value of a, or None if it exceeds value_bit_cap."""
     lo, hi = _value_bits_bounds(a)

@@ -237,7 +237,17 @@ def hypergraph_from_record(rec: dict, caps: Caps = DEFAULT_CAPS) -> TripleHyperg
         verts = tuple(powerform_from_record(r) for r in rec["vertices"])
         raw_edges = [tuple(int(i) for i in e) for e in rec["edges"]]
         meta_rec = rec.get("meta", {})
-    except (KeyError, TypeError, ValueError) as exc:
+        caps_rec = meta_rec.get("caps", {})
+        meta = ClosureMeta(
+            seeds=tuple(int(s) for s in meta_rec.get("seeds", [])),
+            depth=int(meta_rec.get("depth", 0)),
+            value_bit_cap=int(caps_rec.get("value_bit_cap", caps.value_bit_cap)),
+            exp_bit_cap=int(caps_rec.get("exp_bit_cap", caps.exp_bit_cap)),
+            vertex_budget=int(caps_rec.get("vertex_budget", caps.vertex_budget)),
+            dropped_count=int(meta_rec.get("dropped", 0)),
+            truncated_count=int(meta_rec.get("truncated", 0)),
+        )
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed hypergraph record: {exc}") from exc
     if any(compare(x, y) != LT for x, y in zip(verts, verts[1:])):
         raise DomainError("hypergraph vertices must be distinct and ascending")
@@ -245,14 +255,4 @@ def hypergraph_from_record(rec: dict, caps: Caps = DEFAULT_CAPS) -> TripleHyperg
         if len(e) != 3 or any(i < 0 or i >= len(verts) for i in e):
             raise DomainError(f"edge {e} out of range")
         ExpTriple(verts[e[0]], verts[e[1]], verts[e[2]])  # validates the relation
-    caps_rec = meta_rec.get("caps", {})
-    meta = ClosureMeta(
-        seeds=tuple(int(s) for s in meta_rec.get("seeds", [])),
-        depth=int(meta_rec.get("depth", 0)),
-        value_bit_cap=int(caps_rec.get("value_bit_cap", caps.value_bit_cap)),
-        exp_bit_cap=int(caps_rec.get("exp_bit_cap", caps.exp_bit_cap)),
-        vertex_budget=int(caps_rec.get("vertex_budget", caps.vertex_budget)),
-        dropped_count=int(meta_rec.get("dropped", 0)),
-        truncated_count=int(meta_rec.get("truncated", 0)),
-    )
     return TripleHypergraph(vertices=verts, edges=tuple(raw_edges), meta=meta)

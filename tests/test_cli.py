@@ -134,6 +134,27 @@ def test_hypergraph_file_input(tmp_path):
     assert data["status"] == "SAT"
 
 
+@pytest.mark.parametrize("meta", [{"depth": "x"}, ["not", "an", "object"]])
+def test_malformed_hypergraph_meta_is_domain_error(tmp_path, capsys, meta):
+    _, rec = run_json("closure", "--seeds", "2", "--depth", "1")
+    rec["meta"] = meta
+    f = tmp_path / "h.json"
+    f.write_text(json.dumps(rec))
+    code, out = run_cli("color", "solve", "--hypergraph", str(f), "--k", "2")
+    assert (code, out) == (1, "")
+    assert "malformed hypergraph record" in capsys.readouterr().err
+
+
+def test_malformed_color_is_domain_error(tmp_path, capsys):
+    f = tmp_path / "col.json"
+    f.write_text(json.dumps({"k": 2, "colors": {"2": 0, "4": "x"}}))
+    code, out = run_cli(
+        "color", "check", "--seeds", "2", "--depth", "1", "--coloring", str(f)
+    )
+    assert (code, out) == (1, "")
+    assert "malformed color for vertex 4" in capsys.readouterr().err
+
+
 def test_ip_transform():
     code, data = run_json(
         "ip", "transform", "--op", "log", "--n", "2",
@@ -290,6 +311,30 @@ def test_config_file_merge(tmp_path):
     )
     assert code == 0
     assert data["status"] == "found"
+
+
+@pytest.mark.parametrize("values, message", [
+    ({"value_bit_cap": "big"}, "value_bit_cap must be an integer"),
+    ({"vertex_budget": True}, "vertex_budget must be an integer"),
+    ({"threads": 0}, "threads must be >= 1, got 0"),
+    ({"format": "xml"}, "format must be one of json, csv, dimacs"),
+])
+def test_config_file_values_checked(tmp_path, capsys, values, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(values))
+    code, out = run_cli("--config", str(cfg), "triples", "enum", "--max", "4")
+    assert (code, out) == (1, "")
+    assert message in capsys.readouterr().err
+
+
+def test_threads_flag_checked(capsys):
+    assert run_cli("--threads", "0", "triples", "enum", "--max", "4") == (1, "")
+    assert "threads must be >= 1, got 0" in capsys.readouterr().err
+    assert run_cli("--threads", "2", "triples", "enum", "--max", "4")[0] == 0
+
+
+def test_rng_seed_flag_removed():
+    assert run_cli("--rng-seed", "5", "triples", "enum", "--max", "4") == (3, "")
 
 
 def test_threads_env_var(monkeypatch):

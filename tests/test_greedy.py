@@ -1,6 +1,7 @@
 """Greedy recurrences, block searches, and certificate verification."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -20,7 +21,13 @@ from exporamsey import (
     verify_fe_certificate,
     verify_fecor,
 )
-from exporamsey.greedy import certificate_record, failure_record, outcome_record
+from exporamsey.greedy import (
+    _parse_f_spec,
+    _verify_state,
+    certificate_record,
+    failure_record,
+    outcome_record,
+)
 from exporamsey.structures import max_element_value
 
 ALL = SetSpec.residues(1, 0)
@@ -100,6 +107,39 @@ def test_greedy_oracle_range_failure():
     assert got.reason == "oracle range"
 
 
+NARROW = SetSpec.residues(1, 0, window=(1, 50))
+ABOVE_FOUR = SetSpec.residues(1, 0, window=(5, 50))
+
+
+@pytest.mark.parametrize("run, spec, depth, window, caps, expected", [
+    (greedy_fe1, NARROW, 2, (2, 40), Caps(),
+     {"step": 2, "reason": "oracle range", "detail": "81"}),
+    (greedy_fe2, NARROW, 2, (2, 40), Caps(),
+     {"step": 2, "reason": "oracle range", "detail": "64"}),
+    (greedy_fe1, ABOVE_FOUR, 1, (2, 40), Caps(),
+     {"step": 0, "reason": "oracle range", "detail": "2"}),
+    (greedy_fe2, ABOVE_FOUR, 1, (2, 40), Caps(),
+     {"step": 0, "reason": "oracle range", "detail": "2"}),
+    (greedy_fe1, ALL, 2, (2, 100), Caps(greedy_base_limit=3),
+     {"step": 2, "reason": "capacity",
+      "detail": "level maximum 8 exceeds greedy_base_limit"}),
+    (greedy_fe1, ALL, 3, (2, 100), Caps(value_bit_cap=16),
+     {"step": 3, "reason": "oracle range", "detail": "2^20"}),
+    (greedy_fe2, ALL, 3, (2, 100), Caps(value_bit_cap=16),
+     {"step": 3, "reason": "oracle range", "detail": "level element not evaluable"}),
+    (greedy_fe1, EVENS, 2, (2, 10 ** 4), Caps(),
+     {"step": 2, "reason": "empty intersection"}),
+    (greedy_fe2, EVENS, 2, (2, 100), Caps(), (2, 4, 6)),
+])
+def test_greedy_fe_outcomes_pinned(run, spec, depth, window, caps, expected):
+    got = run(spec, depth, window, caps)
+    if isinstance(expected, tuple):
+        assert isinstance(got, FeCertificate)
+        assert got.seeds == expected
+    else:
+        assert failure_record(got) == {"status": "failure", **expected}
+
+
 def test_certificate_verifier_detects_tampering():
     good = greedy_fe1(ALL, 2, (2, 100))
     assert verify_fe_certificate(ALL, good)
@@ -175,6 +215,44 @@ def test_fegen2_square_set_success():
     out = search_fegen2(squares, (4, 9), "constant:1", 1)
     assert out.status == "success"
     assert out.state.chosen == (4,)
+
+
+def test_fegen2_conclusion_holds():
+    # exhaustive recheck of the reported success, done here independently;
+    # the even carrier element 2 fails (2**1 is not odd) and must be skipped
+    out = search_fegen2(ODDS, (2, 3, 5, 7), "constant:3", 3)
+    assert out.status == "success"
+    xs = out.state.chosen
+    assert xs == (3, 5, 7)
+    for mask in range(1, 1 << len(xs)):
+        family = [j for j in range(len(xs)) if mask >> j & 1]
+        bound = out.state.level_max[min(family)]
+        product = 1
+        for j in family:
+            product *= xs[j]
+        for t in range(1, bound + 1):
+            assert ODDS.contains(product ** t)
+
+
+@pytest.mark.parametrize("multiplicative, ys, wrong_value, overlap", [
+    (False, (1, 2, 4, 8), (1, 3), (((0, 1), (1,)), (3, 2))),
+    (True, (2, 3, 5), (2, 4), (((0, 1), (1,)), (6, 3))),
+])
+def test_verify_state_detects_tampering(multiplicative, ys, wrong_value, overlap):
+    search = search_fegen2 if multiplicative else search_fegen1
+    good = search(ALL, ys, "constant:2", 2).state
+    mode = _parse_f_spec("constant:2", multiplicative)
+    _verify_state(ALL, ys, good, mode, Caps(), multiplicative)
+    with pytest.raises(AssertionError, match="disagrees with its block"):
+        _verify_state(ALL, ys, replace(good, chosen=wrong_value), mode, Caps(),
+                      multiplicative)
+    blocks, chosen = overlap
+    with pytest.raises(AssertionError, match="increasing-index"):
+        _verify_state(ALL, ys, replace(good, blocks=blocks, chosen=chosen), mode,
+                      Caps(), multiplicative)
+    # ODDS rejects the first query, 2**1: t = 2 over x_0 = 1, or x_0 = 2 to t = 1
+    with pytest.raises(AssertionError, match="fails its own conditions"):
+        _verify_state(ODDS, ys, good, mode, Caps(), multiplicative)
 
 
 def test_fegen_budget_inconclusive():
