@@ -27,7 +27,7 @@ from . import greedy as greedy_mod
 from . import ipsets as ip_mod
 from . import structures as struct_mod
 from . import triples as tri_mod
-from .config import Caps, DEFAULT_CAPS, RunConfig, caps_with, threads_from_env
+from .config import DEFAULT_CAPS, RunConfig, caps_with, threads_from_env
 from .errors import (
     CapacityError,
     DomainError,
@@ -194,8 +194,8 @@ def _load_config(args) -> RunConfig:
             return flag_value
         return file_values.get(key, fallback)
 
-    def pick_int(flag_value, key, fallback=None):
-        value = pick(flag_value, key, fallback)
+    def pick_int(flag_value, key):
+        value = pick(flag_value, key, None)
         if value is not None and type(value) is not int:  # bool is not a count
             raise DomainError(f"config value {key} must be an integer, got {value!r}")
         return value
@@ -208,15 +208,20 @@ def _load_config(args) -> RunConfig:
         seed_search_budget=pick_int(args.search_budget, "search_budget"),
         fegen_budget=pick_int(args.search_budget, "search_budget"),
     )
-    threads = pick_int(args.threads, "threads", threads_from_env(1))
-    if threads < 1:
+    threads = pick_int(args.threads, "threads")
+    if threads is None:
+        threads = threads_from_env(1)
+    elif threads < 1:
         raise DomainError(f"threads must be >= 1, got {threads}")
     fmt = pick(args.format, "format", "json")
     if fmt not in _FORMATS:
         raise DomainError(f"format must be one of {', '.join(_FORMATS)}, got {fmt!r}")
+    deterministic = pick(args.deterministic, "deterministic", False)
+    if type(deterministic) is not bool:
+        raise DomainError(f"deterministic must be true or false, got {deterministic!r}")
     return RunConfig(
         caps=caps,
-        deterministic=bool(pick(args.deterministic, "deterministic", False)),
+        deterministic=deterministic,
         threads=threads,
         fmt=fmt,
     )

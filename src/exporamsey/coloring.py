@@ -17,7 +17,7 @@ from .config import Caps, DEFAULT_CAPS
 from .errors import CapacityError, DomainError
 from .rules import ColorRule, parse_rule  # re-exported as part of this surface
 from .triples import TripleHypergraph, iter_int_triples
-from .tower import vertex_label
+from .tower import _record_int, vertex_label
 
 __all__ = [
     "Coloring",
@@ -334,7 +334,7 @@ def coloring_record(h: TripleHypergraph, col: Coloring, caps: Caps = DEFAULT_CAP
 
 def coloring_from_record(h: TripleHypergraph, rec: dict, caps: Caps = DEFAULT_CAPS) -> Coloring:
     try:
-        k = int(rec["k"])
+        k = _record_int(rec["k"])
         mapping = rec["colors"]
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed coloring record: {exc}") from exc
@@ -342,7 +342,7 @@ def coloring_from_record(h: TripleHypergraph, rec: dict, caps: Caps = DEFAULT_CA
     for v in h.vertices:
         label = vertex_label(v, caps)
         try:
-            colors.append(int(mapping[label]))
+            colors.append(_record_int(mapping[label]))
         except KeyError:
             raise DomainError(f"partial assignment: vertex {label} has no color") from None
         except (TypeError, ValueError) as exc:

@@ -329,22 +329,6 @@ def windowset_record(a: WindowSet) -> dict:
     return {"lo": a.lo, "hi": a.hi, "members": [str(m) for m in a.sorted_members()]}
 
 
-def set_spec_record(spec: SetSpec) -> dict:
-    rec: dict = {"kind": spec.kind}
-    if spec.kind == "explicit":
-        rec["members"] = [str(m) for m in sorted(spec.members)]
-    elif spec.kind == "residue":
-        rec["modulus"] = spec.modulus
-        rec["residue"] = spec.residue
-    elif spec.kind == "rule":
-        rec["source"] = spec.source
-    elif spec.kind == "complement":
-        rec["of"] = set_spec_record(spec.inner)
-    if spec.window is not None:
-        rec["window"] = [spec.window[0], spec.window[1]]
-    return rec
-
-
 def verdict_record(v: IpStarVerdict) -> dict:
     rec: dict = {"verdict": v.verdict}
     if v.witness is not None:

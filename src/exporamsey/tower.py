@@ -282,10 +282,19 @@ def powerform_record(a: PowerForm, caps: Caps = DEFAULT_CAPS) -> dict:
     }
 
 
+def _record_int(value) -> int:
+    """An integer field of an input record: an int (not a bool) or a decimal string."""
+    if type(value) is int:
+        return value
+    if isinstance(value, str) and value.isascii() and value.isdigit():
+        return int(value)
+    raise DomainError(f"expected an integer or a decimal string, got {value!r}")
+
+
 def powerform_from_record(rec: dict) -> PowerForm:
     try:
-        root = int(rec["root"])
-        exp = int(rec["exp"])
+        root = _record_int(rec["root"])
+        exp = _record_int(rec["exp"])
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed PowerForm record: {rec!r}") from exc
     return PowerForm(root, exp)

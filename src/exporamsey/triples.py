@@ -9,6 +9,7 @@ module searches.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .config import Caps, DEFAULT_CAPS
@@ -16,13 +17,13 @@ from .errors import CapacityError, DomainError
 from .tower import (
     LT,
     PowerForm,
+    _record_int,
     compare,
     normalize,
     powerform_record,
     powerform_from_record,
     sorted_forms,
     try_evaluate,
-    vertex_label,
 )
 
 # Certification ceiling for materializing a triple's exponent part.  Real
@@ -80,9 +81,12 @@ def enumerate_triples(n: int, caps: Caps = DEFAULT_CAPS) -> list[ExpTriple]:
     ]
 
 
-def triples_within(forms: Iterable[PowerForm], caps: Caps = DEFAULT_CAPS) -> list[ExpTriple]:
-    """All triples with a, b, c in the set and b explicitly evaluable."""
-    verts = sorted_forms(set(forms))
+def _edges(verts: Sequence[PowerForm], caps: Caps) -> list[tuple[int, int, int]]:
+    """Index triples (a, b, c) over distinct, ascending `verts`, ordered by (c, a, b).
+
+    Only explicitly evaluable b are tried.  Each hit satisfies the triple
+    relation by construction, so no `ExpTriple` is built to check it.
+    """
     by_root: dict[int, dict[int, int]] = {}  # root -> {exponent: vertex index}
     for i, v in enumerate(verts):
         by_root.setdefault(v.root, {})[v.exponent] = i
@@ -100,9 +104,15 @@ def triples_within(forms: Iterable[PowerForm], caps: Caps = DEFAULT_CAPS) -> lis
                 break
             k = same_root.get(exp)
             if k is not None:
-                found.append((k, i, j))
-    found.sort()
-    return [ExpTriple(verts[i], verts[j], verts[k]) for k, i, j in found]
+                found.append((i, j, k))
+    found.sort(key=itemgetter(2))  # stable: ties stay in (a, b) order
+    return found
+
+
+def triples_within(forms: Iterable[PowerForm], caps: Caps = DEFAULT_CAPS) -> list[ExpTriple]:
+    """All triples with a, b, c in the set and b explicitly evaluable."""
+    verts = sorted_forms(set(forms))
+    return [ExpTriple(verts[a], verts[b], verts[c]) for a, b, c in _edges(verts, caps)]
 
 
 @dataclass(frozen=True)
@@ -129,13 +139,6 @@ class TripleHypergraph:
         return ExpTriple(self.vertices[ai], self.vertices[bi], self.vertices[ci])
 
 
-def _edges_from_vertices(verts: Sequence[PowerForm], caps: Caps) -> tuple[tuple[int, int, int], ...]:
-    pos = {v: i for i, v in enumerate(verts)}
-    return tuple(
-        (pos[t.a], pos[t.b], pos[t.c]) for t in triples_within(verts, caps)
-    )
-
-
 def exp_closure(seeds: Iterable[int], depth: int, caps: Caps = DEFAULT_CAPS) -> TripleHypergraph:
     """Close seeds under exponentiation `depth` times and collect all triples.
 
@@ -160,12 +163,10 @@ def exp_closure(seeds: Iterable[int], depth: int, caps: Caps = DEFAULT_CAPS) -> 
     dropped = 0
     truncated = 0
     for _ in range(depth):
-        evaluable = [(v, try_evaluate(v, caps)) for v in vertices]
+        values = [vb for v in vertices if (vb := try_evaluate(v, caps)) is not None]
         new = set()
         for a in vertices:
-            for b, vb in evaluable:
-                if vb is None:
-                    continue
+            for vb in values:
                 exp = a.exponent * vb
                 if exp.bit_length() > caps.exp_bit_cap:
                     dropped += 1
@@ -187,7 +188,7 @@ def exp_closure(seeds: Iterable[int], depth: int, caps: Caps = DEFAULT_CAPS) -> 
         dropped_count=dropped,
         truncated_count=truncated,
     )
-    return TripleHypergraph(vertices=verts, edges=_edges_from_vertices(verts, caps), meta=meta)
+    return TripleHypergraph(vertices=verts, edges=tuple(_edges(verts, caps)), meta=meta)
 
 
 def sub_hypergraph(h: TripleHypergraph, indices: Iterable[int]) -> TripleHypergraph:
@@ -204,14 +205,6 @@ def sub_hypergraph(h: TripleHypergraph, indices: Iterable[int]) -> TripleHypergr
     return TripleHypergraph(
         vertices=tuple(h.vertices[i] for i in keep), edges=edges, meta=h.meta
     )
-
-
-def triple_record(t: ExpTriple, caps: Caps = DEFAULT_CAPS) -> dict:
-    return {
-        "a": vertex_label(t.a, caps),
-        "b": vertex_label(t.b, caps),
-        "c": vertex_label(t.c, caps),
-    }
 
 
 def hypergraph_record(h: TripleHypergraph, caps: Caps = DEFAULT_CAPS) -> dict:
@@ -235,17 +228,17 @@ def hypergraph_record(h: TripleHypergraph, caps: Caps = DEFAULT_CAPS) -> dict:
 def hypergraph_from_record(rec: dict, caps: Caps = DEFAULT_CAPS) -> TripleHypergraph:
     try:
         verts = tuple(powerform_from_record(r) for r in rec["vertices"])
-        raw_edges = [tuple(int(i) for i in e) for e in rec["edges"]]
+        raw_edges = [tuple(_record_int(i) for i in e) for e in rec["edges"]]
         meta_rec = rec.get("meta", {})
         caps_rec = meta_rec.get("caps", {})
         meta = ClosureMeta(
-            seeds=tuple(int(s) for s in meta_rec.get("seeds", [])),
-            depth=int(meta_rec.get("depth", 0)),
-            value_bit_cap=int(caps_rec.get("value_bit_cap", caps.value_bit_cap)),
-            exp_bit_cap=int(caps_rec.get("exp_bit_cap", caps.exp_bit_cap)),
-            vertex_budget=int(caps_rec.get("vertex_budget", caps.vertex_budget)),
-            dropped_count=int(meta_rec.get("dropped", 0)),
-            truncated_count=int(meta_rec.get("truncated", 0)),
+            seeds=tuple(_record_int(s) for s in meta_rec.get("seeds", [])),
+            depth=_record_int(meta_rec.get("depth", 0)),
+            value_bit_cap=_record_int(caps_rec.get("value_bit_cap", caps.value_bit_cap)),
+            exp_bit_cap=_record_int(caps_rec.get("exp_bit_cap", caps.exp_bit_cap)),
+            vertex_budget=_record_int(caps_rec.get("vertex_budget", caps.vertex_budget)),
+            dropped_count=_record_int(meta_rec.get("dropped", 0)),
+            truncated_count=_record_int(meta_rec.get("truncated", 0)),
         )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed hypergraph record: {exc}") from exc

@@ -122,6 +122,26 @@ def triples_oracle(n):
     return out
 
 
+def closure_edges_oracle(pairs, value_bit_cap=4096):
+    """Index triples (a, b, c) with a**value(b) == c over (root, exp) vertex pairs.
+
+    Every pair (a, b) is tried, b only when its value fits value_bit_cap;
+    c is found by canonicalizing (root_a, exp_a * value(b)) with the
+    brute-force perfect-power oracle.  Sorted by (c, a, b).
+    """
+    index = {canonical_pair(r, e): i for i, (r, e) in enumerate(pairs)}
+    values = [_evaluable(p, value_bit_cap) for p in pairs]
+    out = []
+    for ai, (ra, ea) in enumerate(pairs):
+        for bi, vb in enumerate(values):
+            if vb is None:
+                continue
+            ci = index.get(canonical_pair(ra, ea * vb))
+            if ci is not None:
+                out.append((ai, bi, ci))
+    return sorted(out, key=lambda t: (t[2], t[0], t[1]))
+
+
 def parse_dimacs(text):
     """(num_vars, clauses, comment var map 'vertex index -> variable')."""
     num_vars = None

@@ -155,6 +155,35 @@ def test_malformed_color_is_domain_error(tmp_path, capsys):
     assert "malformed color for vertex 4" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rec", [
+    {"k": 2, "colors": {"2": 0, "4": 1.7}},
+    {"k": 2, "colors": {"2": 0, "4": True}},
+    {"k": 2.9, "colors": {"2": 0, "4": 1}},
+])
+def test_non_integer_coloring_record_rejected(tmp_path, capsys, rec):
+    f = tmp_path / "col.json"
+    f.write_text(json.dumps(rec))
+    code, out = run_cli(
+        "color", "check", "--seeds", "2", "--depth", "1", "--coloring", str(f)
+    )
+    assert (code, out) == (1, "")
+    assert "expected an integer or a decimal string" in capsys.readouterr().err
+
+
+def test_non_integer_hypergraph_record_rejected(tmp_path, capsys):
+    _, rec = run_json("closure", "--seeds", "2", "--depth", "1")
+    two = rec["vertices"][0]
+    f = tmp_path / "h.json"
+    for bad in (
+        dict(rec, edges=[[0.9, 0.2, 1.5]]),  # int() would read (0, 0, 1)
+        dict(rec, vertices=[two, {"root": 2.7, "exp": "3", "value": "8"}], edges=[]),
+    ):
+        f.write_text(json.dumps(bad))
+        code, out = run_cli("color", "solve", "--hypergraph", str(f), "--k", "2")
+        assert (code, out) == (1, "")
+        assert "malformed hypergraph record" in capsys.readouterr().err
+
+
 def test_ip_transform():
     code, data = run_json(
         "ip", "transform", "--op", "log", "--n", "2",
@@ -318,6 +347,7 @@ def test_config_file_merge(tmp_path):
     ({"vertex_budget": True}, "vertex_budget must be an integer"),
     ({"threads": 0}, "threads must be >= 1, got 0"),
     ({"format": "xml"}, "format must be one of json, csv, dimacs"),
+    ({"deterministic": "no"}, "deterministic must be true or false"),
 ])
 def test_config_file_values_checked(tmp_path, capsys, values, message):
     cfg = tmp_path / "cfg.json"
@@ -344,3 +374,13 @@ def test_threads_env_var(monkeypatch):
     monkeypatch.setenv("EXPORAMSEY_THREADS", "zero")
     code, _ = run_cli("triples", "enum", "--max", "4")
     assert code == 1
+
+
+def test_threads_env_var_read_only_when_unset(tmp_path, monkeypatch):
+    monkeypatch.setenv("EXPORAMSEY_THREADS", "zero")
+    assert run_cli("--threads", "2", "triples", "enum", "--max", "4")[0] == 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"threads": 2}))
+    assert run_cli("--config", str(cfg), "triples", "enum", "--max", "4")[0] == 0
+    monkeypatch.setenv("EXPORAMSEY_THREADS", "0")
+    assert run_cli("triples", "enum", "--max", "4") == (1, "")

@@ -18,7 +18,7 @@ from exporamsey import (
     transform,
     window_set,
 )
-from exporamsey.ipsets import set_spec_record, windowset_record
+from exporamsey.ipsets import windowset_record
 
 from oracles import (
     fp_oracle,
@@ -277,7 +277,3 @@ def test_windowset_validation_and_records():
         window_set(2, 5, {9})
     rec = windowset_record(window_set(1, 9, {3, 1}))
     assert rec == {"lo": 1, "hi": 9, "members": ["1", "3"]}
-    srec = set_spec_record(parse_set_spec("complement:residue:2:0@1..9"))
-    assert srec["kind"] == "complement"
-    assert srec["window"] == [1, 9]
-    assert srec["of"] == {"kind": "residue", "modulus": 2, "residue": 0}

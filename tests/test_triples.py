@@ -21,10 +21,9 @@ from exporamsey.triples import (
     hypergraph_from_record,
     hypergraph_record,
     iter_int_triples,
-    triple_record,
 )
 
-from oracles import triples_oracle
+from oracles import closure_edges_oracle, triples_oracle
 
 
 def as_ints(triples):
@@ -125,6 +124,20 @@ def test_closure_edges_match_triples_within():
         assert got == expected
 
 
+@pytest.mark.parametrize("seeds, depth, caps", [
+    ({2, 3, 5}, 2, Caps()),
+    ({5, 6}, 3, Caps(vertex_budget=200)),
+    ({2}, 4, Caps()),
+    ({2, 3}, 3, Caps()),
+    ({3, 9}, 2, Caps()),
+    ({2}, 3, Caps(value_bit_cap=64)),
+])
+def test_closure_edges_match_oracle(seeds, depth, caps):
+    h = exp_closure(seeds, depth, caps)
+    pairs = [(v.root, v.exponent) for v in h.vertices]
+    assert list(h.edges) == closure_edges_oracle(pairs, caps.value_bit_cap)
+
+
 def test_closure_vertex_budget_truncation():
     caps = Caps(vertex_budget=3)
     h = exp_closure({2}, 2, caps)
@@ -164,11 +177,6 @@ def test_hypergraph_record_roundtrip():
     for bad_verts in (verts[::-1], verts[:2] + verts[1:]):
         with pytest.raises(DomainError, match="distinct and ascending"):
             hypergraph_from_record(dict(rec, vertices=bad_verts, edges=[]))
-
-
-def test_triple_record_labels():
-    t = enumerate_triples(4)[0]
-    assert triple_record(t) == {"a": "2", "b": "2", "c": "4"}
 
 
 def test_closure_random_subsets_still_valid():
