@@ -32,7 +32,6 @@ from .errors import (
     CapacityError,
     DomainError,
     OracleRangeError,
-    RuleEvaluationError,
     WorkbenchError,
 )
 
@@ -417,9 +416,6 @@ def main(argv=None) -> int:
     except (OracleRangeError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
-    except (DomainError, RuleEvaluationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
     except WorkbenchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

@@ -293,6 +293,8 @@ class MonoCounts:
 
 def count_mono_triples(rule: ColorRule, n_max: int, caps: Caps = DEFAULT_CAPS) -> MonoCounts:
     """Classify every triple with c <= n_max under the rule's coloring."""
+    if not isinstance(n_max, int) or n_max < 0:
+        raise DomainError(f"bound must be a non-negative integer, got {n_max!r}")
     if n_max.bit_length() > caps.value_bit_cap:
         raise CapacityError(f"bound exceeds value_bit_cap {caps.value_bit_cap}")
     cache: dict[int, int] = {}

@@ -216,9 +216,8 @@ def _f_value(mode: tuple[str, int], prefix: tuple[int, ...], multiplicative: boo
     if not prefix:
         return 1  # vacuous exponent range for blocks containing index 0
     try:
-        seq = validate_seeds(prefix, len(prefix) - 1)
         gen = fe2 if multiplicative else fe1
-        return max_element_value(gen(seq, len(prefix) - 1, caps), caps)
+        return max_element_value(gen(prefix, len(prefix) - 1, caps), caps)
     except (DomainError, CapacityError):
         return None
 

@@ -2,8 +2,7 @@
 
 Grammar (precedence from loosest to tightest):
 
-    expr    := or
-    or      := and ("or" and)*
+    expr    := and ("or" and)*
     and     := unary ("and" unary)*
     unary   := "not" unary | cmp
     cmp     := add (("=="|"!="|"<="|">="|"<"|">") add)?
@@ -22,12 +21,14 @@ is the expression value reduced into [0, k) by mathematical modulus.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 from .errors import DomainError, RuleEvaluationError, RuleSyntaxError
 
 _KEYWORDS = {"n", "and", "or", "not", "if", "ilog2", "ipow"}
-_CMP_OPS = ("==", "!=", "<=", ">=", "<", ">")
+_CMP_OPS = {"==": operator.eq, "!=": operator.ne, "<=": operator.le,
+            ">=": operator.ge, "<": operator.lt, ">": operator.gt}
 
 # Guards against runaway ipow blowup; violations surface per-input.
 _IPOW_EXP_LIMIT = 1 << 20
@@ -102,9 +103,6 @@ class _Parser:
         return node
 
     def expr(self):
-        return self.or_expr()
-
-    def or_expr(self):
         node = self.and_expr()
         while self.peek()[1] == "or":
             self.take()
@@ -194,6 +192,14 @@ def _trunc_div(a: int, b: int) -> int:
     return q if (a >= 0) == (b >= 0) else -q
 
 
+def _trunc_mod(a: int, b: int) -> int:
+    return a - b * _trunc_div(a, b)
+
+
+_BIN_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+            "/": _trunc_div, "%": _trunc_mod}
+
+
 def _eval(node: tuple, n: int) -> int:
     op = node[0]
     if op == "int":
@@ -209,23 +215,9 @@ def _eval(node: tuple, n: int) -> int:
     if op == "or":
         return 1 if (_eval(node[1], n) or _eval(node[2], n)) else 0
     if op == "cmp":
-        a, b = _eval(node[2], n), _eval(node[3], n)
-        return int(
-            {"==": a == b, "!=": a != b, "<": a < b,
-             "<=": a <= b, ">": a > b, ">=": a >= b}[node[1]]
-        )
+        return int(_CMP_OPS[node[1]](_eval(node[2], n), _eval(node[3], n)))
     if op == "bin":
-        a, b = _eval(node[2], n), _eval(node[3], n)
-        if node[1] == "+":
-            return a + b
-        if node[1] == "-":
-            return a - b
-        if node[1] == "*":
-            return a * b
-        if node[1] == "/":
-            return _trunc_div(a, b)
-        q = _trunc_div(a, b)
-        return a - b * q
+        return _BIN_OPS[node[1]](_eval(node[2], n), _eval(node[3], n))
     if op == "ilog2":
         x = _eval(node[1], n)
         if x < 1:

@@ -123,6 +123,14 @@ class PowerForm:
         return str(self.root) if self.exponent == 1 else f"{self.root}^{self.exponent}"
 
 
+def _canonical(root: int, exponent: int) -> PowerForm:
+    """A PowerForm built without checks, for a root the caller made canonical."""
+    form = object.__new__(PowerForm)
+    object.__setattr__(form, "root", root)
+    object.__setattr__(form, "exponent", exponent)
+    return form
+
+
 def normalize(n: int, caps: Caps = DEFAULT_CAPS) -> PowerForm:
     """Canonical power form of an explicit natural n >= 2."""
     if not isinstance(n, int) or n < 2:
@@ -131,11 +139,8 @@ def normalize(n: int, caps: Caps = DEFAULT_CAPS) -> PowerForm:
         raise CapacityError(
             f"input bit length {n.bit_length()} exceeds value_bit_cap {caps.value_bit_cap}"
         )
-    decomposed = perfect_power(n)
-    if decomposed is None:
-        return PowerForm(n, 1)
-    root, exp = decomposed
-    return PowerForm(root, exp)
+    root, exp = perfect_power(n) or (n, 1)
+    return _canonical(root, exp)
 
 
 def _value_bits_bounds(a: PowerForm) -> tuple[int, int]:
@@ -174,7 +179,7 @@ def power(a: PowerForm, b: PowerForm, caps: Caps = DEFAULT_CAPS) -> PowerForm:
             f"result exponent bit length {new_exp.bit_length()} exceeds "
             f"exp_bit_cap {caps.exp_bit_cap}"
         )
-    return PowerForm(a.root, new_exp)
+    return _canonical(a.root, new_exp)
 
 
 def _log2_bounds(r: int, prec: int) -> tuple[Fraction, Fraction]:

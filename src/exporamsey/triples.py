@@ -17,6 +17,7 @@ from .errors import CapacityError, DomainError
 from .tower import (
     LT,
     PowerForm,
+    _canonical,
     _record_int,
     compare,
     normalize,
@@ -75,10 +76,11 @@ def enumerate_triples(n: int, caps: Caps = DEFAULT_CAPS) -> list[ExpTriple]:
         raise DomainError(f"bound must be a non-negative integer, got {n!r}")
     if n.bit_length() > caps.value_bit_cap:
         raise CapacityError(f"bound exceeds value_bit_cap {caps.value_bit_cap}")
-    return [
-        ExpTriple(normalize(a, caps), normalize(b, caps), normalize(c, caps))
-        for a, b, c in iter_int_triples(n)
-    ]
+    found = []
+    for a, b, _ in iter_int_triples(n):
+        fa = normalize(a, caps)  # c = a**b has a's root and b times its exponent
+        found.append(ExpTriple(fa, normalize(b, caps), _canonical(fa.root, fa.exponent * b)))
+    return found
 
 
 def _edges(verts: Sequence[PowerForm], caps: Caps) -> list[tuple[int, int, int]]:
@@ -171,7 +173,7 @@ def exp_closure(seeds: Iterable[int], depth: int, caps: Caps = DEFAULT_CAPS) -> 
                 if exp.bit_length() > caps.exp_bit_cap:
                     dropped += 1
                     continue
-                new.add(PowerForm(a.root, exp))
+                new.add(_canonical(a.root, exp))
         vertices |= new
         if len(vertices) > caps.vertex_budget:
             kept = sorted_forms(vertices)[: caps.vertex_budget]

@@ -177,6 +177,7 @@ def test_non_integer_hypergraph_record_rejected(tmp_path, capsys):
     for bad in (
         dict(rec, edges=[[0.9, 0.2, 1.5]]),  # int() would read (0, 0, 1)
         dict(rec, vertices=[two, {"root": 2.7, "exp": "3", "value": "8"}], edges=[]),
+        dict(rec, vertices=[two, {"root": "4", "exp": "1", "value": "4"}], edges=[]),
     ):
         f.write_text(json.dumps(bad))
         code, out = run_cli("color", "solve", "--hypergraph", str(f), "--k", "2")
@@ -297,6 +298,9 @@ def test_exit_codes():
     assert code == 3  # missing --max
     code, _ = run_cli("color", "rule-count", "--rule", "n %", "--k", "2", "--max", "10")
     assert code == 1  # rule syntax error is a domain error
+    for bound in ("-5", "16,-5"):  # a negative bound is a domain error, not "N": "-5"
+        code, out = run_cli("color", "rule-count", "--rule", "n % 2", "--k", "2", f"--max={bound}")
+        assert (code, out) == (1, "")
 
 
 def test_parser_state_does_not_leak_between_calls():

@@ -215,6 +215,9 @@ def test_count_mono_examples():
     assert count_mono_triples(one_cell, 16).total == 5
     assert count_mono_triples(one_cell, 16).total == len(enumerate_triples(16))
     assert count_mono_triples(rule, 3).total == 0
+    assert count_mono_triples(rule, 0).triple_count == 0
+    with pytest.raises(DomainError, match="non-negative integer, got -5"):
+        count_mono_triples(rule, -5)
 
 
 def test_count_mono_against_direct_loop():

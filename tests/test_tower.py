@@ -66,6 +66,26 @@ def test_powerform_rejects_non_canonical():
         PowerForm(1, 5)
 
 
+def test_perfect_power_runs_only_where_a_root_enters(monkeypatch):
+    calls = []
+    detect = tower.perfect_power
+
+    def counting_perfect_power(n):
+        calls.append(n)
+        return detect(n)
+
+    monkeypatch.setattr(tower, "perfect_power", counting_perfect_power)
+    normalize(10 ** 18 + 9)
+    assert calls == [10 ** 18 + 9]
+    calls.clear()
+    exp_closure([2, 3, 5], 3)
+    assert sorted(calls) == [2, 3, 5]  # the seeds; derived roots are not re-checked
+    calls.clear()
+    p = power(normalize(6), normalize(5))
+    assert calls == [6, 5]
+    assert p == PowerForm(6, 5)
+
+
 def test_ikth_root_exact():
     rng = random.Random(7)
     for _ in range(2000):
@@ -206,6 +226,8 @@ def test_serialization_roundtrip():
     rec = powerform_record(pf)
     assert rec == {"root": "2", "exp": "8", "value": "256"}
     assert powerform_from_record(rec) == pf
+    with pytest.raises(DomainError):
+        powerform_from_record({"root": "8", "exp": "2"})
     sym = PowerForm(2, 5000)
     rec2 = powerform_record(sym)
     assert rec2["value"] is None

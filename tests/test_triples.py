@@ -23,7 +23,7 @@ from exporamsey.triples import (
     iter_int_triples,
 )
 
-from oracles import closure_edges_oracle, triples_oracle
+from oracles import closure_edges_oracle, perfect_power_oracle, triples_oracle
 
 
 def as_ints(triples):
@@ -51,6 +51,15 @@ def test_enumerate_sorted_and_valid():
     for a, b, c in ints:
         assert a ** b == c
         assert a >= 2 and b >= 2
+
+
+def test_derived_forms_are_canonical():
+    derived = [v for h in (exp_closure({2, 3, 5}, 2), exp_closure({6, 7}, 3)) for v in h.vertices]
+    derived += [f for t in enumerate_triples(10 ** 6) for f in (t.a, t.b, t.c)]
+    assert all(perfect_power_oracle(r) is None for r in {f.root for f in derived})
+    for f in derived:
+        checked = PowerForm(f.root, f.exponent)
+        assert f == checked and hash(f) == hash(checked)
 
 
 def test_exp_triple_validation():
