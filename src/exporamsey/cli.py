@@ -265,22 +265,19 @@ def _run_structures(args, cfg: RunConfig, out) -> int:
 
 
 def _run_triples(args, cfg: RunConfig, out) -> int:
-    if args.max < 0:
-        raise DomainError("--max must be >= 0")
-    if args.max.bit_length() > cfg.caps.value_bit_cap:
-        raise CapacityError("--max exceeds value_bit_cap")
+    tri_mod.check_triple_bound(args.max, cfg.caps)
     if cfg.fmt == "csv":
         out.write("a,b,c\n")
         for a, b, c in tri_mod.iter_int_triples(args.max):
             out.write(f"{a},{b},{c}\n")
         return EXIT_OK
     out.write("[")
-    first = True
+    sep = "\n"
     for a, b, c in tri_mod.iter_int_triples(args.max):
-        rec = {"a": str(a), "b": str(b), "c": str(c)}
-        out.write(("" if first else ",") + "\n  " + json.dumps(rec))
-        first = False
-    out.write("\n]\n" if not first else "]\n")
+        # what json.dumps writes for {"a": str(a), ...}: decimal digits need no escapes
+        out.write(f'{sep}  {{"a": "{a}", "b": "{b}", "c": "{c}"}}')
+        sep = ",\n"
+    out.write("]\n" if sep == "\n" else "\n]\n")
     return EXIT_OK
 
 
@@ -318,7 +315,7 @@ def _run_color(args, cfg: RunConfig, out) -> int:
         return EXIT_OK
     assert args.action == "rule-count"
     rule = col_mod.parse_rule(args.rule, args.k)
-    results = [col_mod.count_mono_triples(rule, n, caps) for n in args.max]
+    results = col_mod.count_mono_triples_at(rule, args.max, caps)
     if cfg.fmt == "csv":
         out.write("N,cell,count\n")
         for counts in results:

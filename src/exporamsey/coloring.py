@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 from .config import Caps, DEFAULT_CAPS
 from .errors import CapacityError, DomainError
 from .rules import ColorRule, parse_rule  # re-exported as part of this surface
-from .triples import TripleHypergraph, iter_int_triples
+from .triples import TripleHypergraph, check_triple_bound, iter_int_triples
 from .tower import _record_int, vertex_label
 
 __all__ = [
@@ -29,6 +29,7 @@ __all__ = [
     "export_dimacs",
     "decode_true_vars",
     "count_mono_triples",
+    "count_mono_triples_at",
     "MonoCounts",
     "coloring_record",
     "coloring_from_record",
@@ -293,10 +294,21 @@ class MonoCounts:
 
 def count_mono_triples(rule: ColorRule, n_max: int, caps: Caps = DEFAULT_CAPS) -> MonoCounts:
     """Classify every triple with c <= n_max under the rule's coloring."""
-    if not isinstance(n_max, int) or n_max < 0:
-        raise DomainError(f"bound must be a non-negative integer, got {n_max!r}")
-    if n_max.bit_length() > caps.value_bit_cap:
-        raise CapacityError(f"bound exceeds value_bit_cap {caps.value_bit_cap}")
+    return count_mono_triples_at(rule, [n_max], caps)[0]
+
+
+def count_mono_triples_at(
+    rule: ColorRule, bounds: Sequence[int], caps: Caps = DEFAULT_CAPS
+) -> list[MonoCounts]:
+    """`count_mono_triples` at each bound, in the order given, from one pass.
+
+    Every bound is checked first.  Bounds may repeat and come in any order:
+    one pass over the triples up to the largest, with one color cache, takes
+    a snapshot of the counts as c passes each bound.
+    """
+    for n in bounds:
+        check_triple_bound(n, caps)
+    stops = sorted(set(bounds))
     cache: dict[int, int] = {}
 
     def color(v: int) -> int:
@@ -307,22 +319,25 @@ def count_mono_triples(rule: ColorRule, n_max: int, caps: Caps = DEFAULT_CAPS) -
 
     per_cell = [0] * rule.k
     rainbow = 0
-    triple_count = 0
-    for a, b, c in iter_int_triples(n_max):
-        triple_count += 1
+    snapshots = {}  # bound -> (per-cell counts, rainbow count) over the triples with c <= bound
+    i = 0
+    for a, b, c in iter_int_triples(max(bounds, default=0)):
+        while c > stops[i]:
+            snapshots[stops[i]] = (tuple(per_cell), rainbow)
+            i += 1
         ca = color(a)
         if ca == color(b) == color(c):
             per_cell[ca] += 1
         else:
             rainbow += 1
-    return MonoCounts(
-        n_max=n_max,
-        k=rule.k,
-        per_cell=tuple(per_cell),
-        total=sum(per_cell),
-        rainbow=rainbow,
-        triple_count=triple_count,
-    )
+    for n in stops[i:]:
+        snapshots[n] = (tuple(per_cell), rainbow)
+    out = []
+    for n in bounds:
+        cells, rb = snapshots[n]
+        out.append(MonoCounts(n_max=n, k=rule.k, per_cell=cells, total=sum(cells),
+                              rainbow=rb, triple_count=sum(cells) + rb))
+    return out
 
 
 def coloring_record(h: TripleHypergraph, col: Coloring, caps: Caps = DEFAULT_CAPS) -> dict:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .errors import DomainError, RuleEvaluationError, RuleSyntaxError
 
@@ -193,45 +194,81 @@ def _trunc_div(a: int, b: int) -> int:
 
 
 def _trunc_mod(a: int, b: int) -> int:
-    return a - b * _trunc_div(a, b)
+    if b == 0:
+        raise RuleEvaluationError("division by zero")
+    r = abs(a) % abs(b)  # the truncated remainder takes the sign of a
+    return r if a >= 0 else -r
+
+
+def _ilog2(x: int) -> int:
+    if x < 1:
+        raise RuleEvaluationError(f"ilog2 of non-positive value {x}")
+    return x.bit_length() - 1
+
+
+def _ipow(a: int, b: int) -> int:
+    if b < 0:
+        raise RuleEvaluationError(f"ipow with negative exponent {b}")
+    if b > _IPOW_EXP_LIMIT or abs(a).bit_length() * max(b, 1) > _IPOW_RESULT_BITS:
+        raise RuleEvaluationError(f"ipow({a}, {b}) result too large")
+    return a ** b
 
 
 _BIN_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
             "/": _trunc_div, "%": _trunc_mod}
 
 
-def _eval(node: tuple, n: int) -> int:
+def _compile(node: tuple) -> Callable[[int], int]:
+    """The function n -> value of an AST node, as nested closures.
+
+    Built once per rule, so evaluating it does no per-node dispatch.  `and`,
+    `or` and `if` call their later operands only when they need them.  A
+    constant right operand is bound into its parent's closure, which spares
+    a call per evaluation in rules such as `n % 2`.
+    """
     op = node[0]
     if op == "int":
-        return node[1]
+        value = node[1]
+        return lambda n: value
     if op == "var":
-        return n
+        return lambda n: n
     if op == "neg":
-        return -_eval(node[1], n)
+        x = _compile(node[1])
+        return lambda n: -x(n)
     if op == "not":
-        return 0 if _eval(node[1], n) else 1
-    if op == "and":
-        return 1 if (_eval(node[1], n) and _eval(node[2], n)) else 0
-    if op == "or":
-        return 1 if (_eval(node[1], n) or _eval(node[2], n)) else 0
-    if op == "cmp":
-        return int(_CMP_OPS[node[1]](_eval(node[2], n), _eval(node[3], n)))
-    if op == "bin":
-        return _BIN_OPS[node[1]](_eval(node[2], n), _eval(node[3], n))
+        x = _compile(node[1])
+        return lambda n: 0 if x(n) else 1
     if op == "ilog2":
-        x = _eval(node[1], n)
-        if x < 1:
-            raise RuleEvaluationError(f"ilog2 of non-positive value {x}")
-        return x.bit_length() - 1
+        x = _compile(node[1])
+        return lambda n: _ilog2(x(n))
+    if op == "if":
+        c, t, f = map(_compile, node[1:])
+        return lambda n: t(n) if c(n) else f(n)
+    if op in ("and", "or"):
+        x, y = _compile(node[1]), _compile(node[2])
+        if op == "and":
+            return lambda n: 1 if x(n) and y(n) else 0
+        return lambda n: 1 if x(n) or y(n) else 0
     if op == "ipow":
-        a, b = _eval(node[1], n), _eval(node[2], n)
-        if b < 0:
-            raise RuleEvaluationError(f"ipow with negative exponent {b}")
-        if b > _IPOW_EXP_LIMIT or abs(a).bit_length() * max(b, 1) > _IPOW_RESULT_BITS:
-            raise RuleEvaluationError(f"ipow({a}, {b}) result too large")
-        return a ** b
-    assert op == "if"
-    return _eval(node[2], n) if _eval(node[1], n) else _eval(node[3], n)
+        fn, left, right = _ipow, node[1], node[2]
+    else:  # "cmp" or "bin"
+        fn = _CMP_OPS[node[1]] if op == "cmp" else _BIN_OPS[node[1]]
+        left, right = node[2], node[3]
+    x = _compile(left)
+    if right[0] == "int":
+        c = right[1]
+        if op == "cmp":
+            return lambda n: 1 if fn(x(n), c) else 0
+        # by a positive constant, truncation is floor division on |v|
+        if fn is _trunc_mod and c > 0:
+            return lambda n: v % c if (v := x(n)) >= 0 else -(-v % c)
+        if fn is _trunc_div and c > 0:
+            return lambda n: v // c if (v := x(n)) >= 0 else -(-v // c)
+        return lambda n: fn(x(n), c)
+    y = _compile(right)
+    if op == "cmp":
+        return lambda n: 1 if fn(x(n), y(n)) else 0
+    return lambda n: fn(x(n), y(n))
 
 
 @dataclass(frozen=True)
@@ -240,11 +277,11 @@ class ColorRule:
 
     source: str
     k: int
-    ast: tuple = field(repr=False, compare=False)
+    evaluate: Callable[[int], int] = field(repr=False, compare=False)
 
     def color(self, n: int) -> int:
         try:
-            return _eval(self.ast, n) % self.k
+            return self.evaluate(n) % self.k
         except RuleEvaluationError as exc:
             raise RuleEvaluationError(str(exc), n=n) from None
 
@@ -253,5 +290,4 @@ def parse_rule(source: str, k: int) -> ColorRule:
     """Parse a rule; raises RuleSyntaxError with a 0-based error offset."""
     if not isinstance(k, int) or k < 1:
         raise DomainError(f"cell count must be an integer >= 1, got {k!r}")
-    ast = _Parser(source).parse()
-    return ColorRule(source=source, k=k, ast=ast)
+    return ColorRule(source=source, k=k, evaluate=_compile(_Parser(source).parse()))

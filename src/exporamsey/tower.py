@@ -21,10 +21,20 @@ between them in float order are closer still.  Runs of neighbours whose
 keys differ by at most tau = _KEY_TIE * max(1, key), with _KEY_TIE = 2**-44
 (8x that margin), are re-sorted with the exact `compare`; every other
 neighbour pair is ordered correctly by its keys.
+
+Perfect-power detection tries prime exponents k only and takes each k-th
+root from a float guess round(n ** (1/k)), confirmed exactly by r**k == n.
+The guess is used only while the root is below 2**_FLOAT_ROOT_BITS and n
+converts to a float without overflow, where it is provably the exact root
+of every exact k-th power (error bound derived at _FLOAT_ROOT_BITS).  Square
+roots come from math.isqrt; `ikth_root`'s Newton iteration still runs for
+odd k when n has more than 1023 bits or its k-th root could reach
+2**_FLOAT_ROOT_BITS.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -50,6 +60,33 @@ _MAX_CMP_PRECISION = 1 << 24
 # ulp(A), ulp(B) <= ulp(key) <= 2**-52 * key: in all, at most
 # 1.4e-15 + 5.6e-16 * key < 2**-48 * max(1, key).
 _KEY_TIE = 2.0 ** -44
+# Float k-th roots are trusted for roots t < 2**_FLOAT_ROOT_BITS, n < 2**1023
+# and k >= 3.  With x = float(n) = n(1 + d0), e = fl(1/k) = (1 + d1)/k and
+# y = pow(x, e) = x**e (1 + d2), where |d0|, |d1| <= 2**-53 (correct rounding)
+# and |d2| <= 2**-52 (libm pow within one ulp):
+#     y = t * t**d1 * (1 + d0)**e * (1 + d2),
+#     |ln(y / t)| <= |d1| ln t + e |d0| + 1.01 |d2|
+#                 <= 2**-53 (B ln 2 + 1/3 + 2.02)          for t < 2**B,
+# so |y - t| < t * 2**-53 (0.7 B + 2.4).  At B = 44 that is below
+# 2**44 * 33.2 * 2**-53 < 2**-3.9 < 1/2, and round(y) == t for every exact
+# k-th power; the r**k == n check decides the rest.  The d1 term grows with
+# t: for k = 3 it alone reaches 1/2 near t = 2**48, and m**3, m**5, m**7 with
+# m just below 2**48 already get wrong roots.
+_FLOAT_ROOT_BITS = 44
+
+
+def _primes_below(limit: int) -> tuple[int, ...]:
+    sieve = bytearray([1]) * limit
+    sieve[:2] = b"\0\0"
+    for p in range(2, math.isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, limit, p)))
+    return tuple(p for p in range(limit) if sieve[p])
+
+
+# The exponents perfect_power tries first: all it needs for n below 2**4096,
+# the default value_bit_cap.
+_PRIMES = _primes_below(1 << 12)
 
 
 def ikth_root(n: int, k: int) -> int:
@@ -69,23 +106,44 @@ def ikth_root(n: int, k: int) -> int:
         x = y
 
 
+def _prime_exponents():
+    """2, 3, 5, 7, ...: the table, then odd k with no prime factor in the table.
+
+    Past _PRIMES[-1]**2 a composite can slip through; trying it is harmless,
+    as its prime factors came first.
+    """
+    yield from _PRIMES
+    yield from (k for k in itertools.count(_PRIMES[-1] + 2, 2) if all(k % p for p in _PRIMES))
+
+
+def _exact_root(n: int, k: int) -> int | None:
+    """r with r**k == n, or None; k is prime."""
+    if k == 2:
+        r = math.isqrt(n)
+    elif n.bit_length() <= _FLOAT_ROOT_BITS * k and n.bit_length() < 1024:
+        r = round(n ** (1 / k))  # the exact root whenever one exists
+    else:
+        r = ikth_root(n, k)
+    return r if r ** k == n else None
+
+
 def perfect_power(n: int) -> tuple[int, int] | None:
     """Return (m, k) with m**k == n and k maximal (k >= 2), or None.
 
-    Repeatedly strips exact k-th roots for k = 2, 3, 5, 7, ... until the
-    remaining root admits none; the accumulated exponent is then maximal,
-    which makes the root automatically perfect-power-free.
+    Repeatedly strips exact k-th roots for prime k = 2, 3, 5, 7, ... until
+    the remaining root admits none; the accumulated exponent is then maximal,
+    which makes the root automatically perfect-power-free.  A root that is
+    no p-th power never becomes one by taking further roots, so no k needs
+    a second visit and composite k never succeed.
     """
     if n < 4:
         return None
     root, exp = n, 1
-    k = 2
-    while k <= root.bit_length() - 1:
-        r = ikth_root(root, k)
-        if r ** k == root:
+    for k in _prime_exponents():
+        if k >= root.bit_length():  # root < 2**k, the k-th power of 2
+            break
+        while (r := _exact_root(root, k)) is not None:
             root, exp = r, exp * k
-            continue  # the same k may divide the exponent again
-        k = 3 if k == 2 else k + 2
     return None if exp == 1 else (root, exp)
 
 

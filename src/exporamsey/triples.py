@@ -8,6 +8,7 @@ module searches.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
@@ -30,6 +31,12 @@ from .tower import (
 # Certification ceiling for materializing a triple's exponent part.  Real
 # uses keep b within value_bit_cap, which is far below this.
 _TRIPLE_B_BITS = 1 << 20
+# Largest base a, about the square root of the bound on c, that the integer
+# triple kernels take.  Their time, and the memory of `enumerate_triples` and
+# of rule counting, grow with the number of bases: a bound of 10**12 (10**6
+# bases) is allowed, and 10**20 (10**10 bases) is refused before anything is
+# allocated.
+_MAX_TRIPLE_BASE = 1 << 22
 
 
 @dataclass(frozen=True, slots=True)
@@ -54,32 +61,86 @@ class ExpTriple:
         return f"({self.a}, {self.b}, {self.c})"
 
 
-def iter_int_triples(n: int) -> Iterator[tuple[int, int, int]]:
-    """All (a, b, a**b) with a, b >= 2 and a**b <= n, ascending by (c, a, b)."""
-    found = []
-    a = 2
-    while a * a <= n:
-        v = a * a
-        b = 2
-        while v <= n:
-            found.append((v, a, b))
-            v *= a
-            b += 1
-        a += 1
-    for c, a, b in sorted(found):
-        yield a, b, c
+def _triple(a: PowerForm, b: PowerForm, c: PowerForm) -> ExpTriple:
+    """An ExpTriple built without checks, for a triple the caller made by construction."""
+    t = object.__new__(ExpTriple)
+    object.__setattr__(t, "a", a)
+    object.__setattr__(t, "b", b)
+    object.__setattr__(t, "c", c)
+    return t
 
 
-def enumerate_triples(n: int, caps: Caps = DEFAULT_CAPS) -> list[ExpTriple]:
-    """Exponential triples with c <= n as canonical-form records."""
+def _check_bases(n: int) -> None:
+    if math.isqrt(n) > _MAX_TRIPLE_BASE:
+        raise CapacityError(
+            f"bound {n} needs bases up to {math.isqrt(n)}, over the limit {_MAX_TRIPLE_BASE}"
+        )
+
+
+def check_triple_bound(n: int, caps: Caps = DEFAULT_CAPS) -> None:
+    """Refuse a bound on c that the integer triple kernels cannot take."""
     if not isinstance(n, int) or n < 0:
         raise DomainError(f"bound must be a non-negative integer, got {n!r}")
     if n.bit_length() > caps.value_bit_cap:
         raise CapacityError(f"bound exceeds value_bit_cap {caps.value_bit_cap}")
+    _check_bases(n)
+
+
+def iter_int_triples(n: int) -> Iterator[tuple[int, int, int]]:
+    """All (a, b, a**b) with a, b >= 2 and a**b <= n, ascending by (c, a, b).
+
+    The squares come in order as a grows; the few triples with b >= 3
+    (a <= cube root of n) are sorted apart and merged in.  On equal c the
+    one with b >= 3 has the smaller a, so it goes first.  A bound whose
+    square root passes _MAX_TRIPLE_BASE raises CapacityError at the first step.
+    """
+    _check_bases(max(n, 0))
+    higher = []
+    a = 2
+    while a ** 3 <= n:
+        v, b = a ** 3, 3
+        while v <= n:
+            higher.append((v, a, b))
+            v, b = v * a, b + 1
+        a += 1
+    higher.sort()
+    higher.append((n + 1, 0, 0))  # past every square: ends the merge
+    i = 0
+    next_c = higher[0][0]
+    for a in range(2, math.isqrt(max(n, 0)) + 1):
+        square = a * a
+        while next_c <= square:
+            c, x, b = higher[i]
+            yield x, b, c
+            i += 1
+            next_c = higher[i][0]
+        yield a, 2, square
+    for c, x, b in higher[i:-1]:
+        yield x, b, c
+
+
+def enumerate_triples(n: int, caps: Caps = DEFAULT_CAPS) -> list[ExpTriple]:
+    """Exponential triples with c <= n as canonical-form records, ordered by (c, a, b).
+
+    Every base a and exponent b is at most max(isqrt(n), bit length of n).
+    Their canonical forms come from a sieve over that range: each
+    perfect-power-free root r marks r**j (j >= 2) as (r, j), and every
+    unmarked value is its own root.  c = a**b is then (r, j * b).
+    """
+    check_triple_bound(n, caps)
+    top = max(math.isqrt(n), n.bit_length())
+    powers: dict[int, tuple[int, int]] = {}  # perfect power -> (root, exponent)
+    for r in range(2, math.isqrt(top) + 1):
+        if r not in powers:  # no smaller root marked it, so r is perfect-power-free
+            v, j = r * r, 2
+            while v <= top:
+                powers[v] = (r, j)
+                v, j = v * r, j + 1
+    b_forms = {b: _canonical(*powers.get(b, (b, 1))) for b in range(2, n.bit_length() + 1)}
     found = []
     for a, b, _ in iter_int_triples(n):
-        fa = normalize(a, caps)  # c = a**b has a's root and b times its exponent
-        found.append(ExpTriple(fa, normalize(b, caps), _canonical(fa.root, fa.exponent * b)))
+        root, exp = powers.get(a, (a, 1))
+        found.append(_triple(_canonical(root, exp), b_forms[b], _canonical(root, exp * b)))
     return found
 
 

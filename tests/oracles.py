@@ -45,6 +45,23 @@ def perfect_power_oracle(n):
     return best
 
 
+def perfect_power_table(limit):
+    """{n: (m, k)} for every perfect power n < limit, k maximal, by m**k loops.
+
+    m runs upward, so the first (m, k) recorded for n has the smallest m and
+    hence the largest k.
+    """
+    table = {}
+    m = 2
+    while m * m < limit:
+        v, k = m * m, 2
+        while v < limit:
+            table.setdefault(v, (m, k))
+            v, k = v * m, k + 1
+        m += 1
+    return table
+
+
 def canonical_pair(base, exp):
     """Canonical (root, exponent) of base**exp via the brute-force oracle."""
     hit = perfect_power_oracle(base)

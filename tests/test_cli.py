@@ -125,6 +125,31 @@ def test_color_rule_count_json_and_csv():
     assert "16,total,5" in out.splitlines()
 
 
+def test_rule_count_many_bounds_in_one_run():
+    rule = ("color", "rule-count", "--rule", "ilog2(n) % 3", "--k", "3")
+    bounds = ["1000000000", "100000000", "100000000"]  # unsorted, with a duplicate
+    code, out = run_cli(*rule, "--max", ",".join(bounds))
+    singles = [run_json(*rule, "--max", b) for b in bounds]
+    assert code == 0 and all(c == 0 for c, _ in singles)
+    records = [data["counts"][0] for _, data in singles]
+    expected = json.dumps({"rule": "ilog2(n) % 3", "k": 3, "counts": records}, indent=2) + "\n"
+    assert out == expected
+    code, out = run_cli("--format", "csv", *rule, "--max", ",".join(bounds))
+    singles = [run_cli("--format", "csv", *rule, "--max", b) for b in bounds]
+    assert code == 0
+    assert out == "N,cell,count\n" + "".join(s.removeprefix("N,cell,count\n") for _, s in singles)
+
+
+def test_triple_bound_over_limit_refused():
+    over = str((2 ** 22 + 1) ** 2)  # square root one past the limit
+    for fmt in ("json", "csv"):
+        assert run_cli("--format", fmt, "triples", "enum", "--max", over) == (2, "")
+        assert run_cli("--format", fmt, "color", "rule-count", "--rule", "n % 2",
+                       "--max", f"16,{over}") == (2, "")
+    assert run_cli("color", "rule-count", "--rule", "n % 2", f"--max=16,{over},-5") == (2, "")
+    assert run_cli("triples", "enum", "--max", "-1") == (1, "")
+
+
 def test_hypergraph_file_input(tmp_path):
     code, rec = run_json("closure", "--seeds", "2,3", "--depth", "1")
     f = tmp_path / "h.json"

@@ -23,6 +23,7 @@ from exporamsey import (
 from exporamsey.coloring import (
     coloring_from_record,
     coloring_record,
+    count_mono_triples_at,
     counts_csv_rows,
     decode_true_vars,
     solve_constraints,
@@ -218,6 +219,21 @@ def test_count_mono_examples():
     assert count_mono_triples(rule, 0).triple_count == 0
     with pytest.raises(DomainError, match="non-negative integer, got -5"):
         count_mono_triples(rule, -5)
+
+
+def test_count_mono_at_many_bounds():
+    rule = parse_rule("ilog2(n) % 3", 3)
+    bounds = [5000, 0, 100, 5000, 64, 65, 4, 3]  # unsorted, repeated, on and between values of c
+    got = count_mono_triples_at(rule, bounds)
+    assert got == [count_mono_triples(rule, n) for n in bounds]
+    assert [c.n_max for c in got] == bounds
+    assert count_mono_triples_at(rule, []) == []
+    with pytest.raises(DomainError, match="got -5"):
+        count_mono_triples_at(rule, [16, -5, 1 << 80])  # the first bad bound in order
+    with pytest.raises(CapacityError):
+        count_mono_triples_at(rule, [16, 1 << 80, -5], Caps(value_bit_cap=64))
+    with pytest.raises(CapacityError, match="over the limit"):
+        count_mono_triples(rule, 10 ** 20)
 
 
 def test_count_mono_against_direct_loop():

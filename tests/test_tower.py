@@ -34,7 +34,7 @@ from exporamsey.tower import (
     vertex_label,
 )
 
-from oracles import perfect_power_oracle
+from oracles import perfect_power_oracle, perfect_power_table
 
 
 def test_normalize_examples():
@@ -100,6 +100,44 @@ def test_perfect_power_against_oracle():
     # full-oracle comparison where the O(sqrt n) oracle is feasible
     for n in range(2, 3000):
         assert perfect_power(n) == perfect_power_oracle(n)
+
+
+def test_perfect_power_against_power_table():
+    table = perfect_power_table(2 * 10 ** 5)
+    for n in range(2 * 10 ** 5):
+        assert perfect_power(n) == table.get(n), n
+
+
+def _power_free(rng, lo, hi):
+    """An m in [lo, hi) with m = 2 mod 4: a single factor 2, so m is no perfect power."""
+    return rng.randrange(lo // 4, hi // 4) * 4 + 2
+
+
+def test_perfect_power_float_guard():
+    # m**k and its neighbours around the float-root guard (roots below 2**44)
+    # and past the roots where a float guess goes wrong (from about 2**47).
+    # By Mihailescu's theorem m**k +- 1 is never a perfect power for m >= 3.
+    rng = random.Random(2011)
+    ks = (2, 3, 4, 5, 6, 7, 9, 11, 13, 15)
+    for bits in range(30, 53):
+        ms = [(1 << bits) - 2, (1 << bits) + 2, _power_free(rng, 1 << bits, 2 << bits)]
+        for m in ms:
+            for k in ks:
+                n = m ** k
+                assert perfect_power(n) == (m, k), (m, k)
+                assert perfect_power(n - 1) is None and perfect_power(n + 1) is None, (m, k)
+    assert perfect_power(5671 ** 8) == (5671, 8)  # 5671 = 53 * 107
+    # past 1023 bits the float guess is off limits: n does not convert
+    for m, k in (((1 << 520) + 2, 2), ((1 << 350) + 2, 3), (3, 700), ((1 << 100) + 2, 11)):
+        n = m ** k
+        assert n.bit_length() > 1024
+        assert perfect_power(n) == (m, k)
+        assert perfect_power(n - 1) is None and perfect_power(n + 1) is None
+    huge = (1 << 1100) + 2  # 2 * odd: not a perfect power
+    assert PowerForm(huge, 1).root == huge
+    assert normalize(huge ** 3, Caps(value_bit_cap=1 << 14)) == PowerForm(huge, 3)
+    with pytest.raises(DomainError):
+        PowerForm(huge ** 2, 1)
 
 
 def test_canonicalization_of_large_powers():

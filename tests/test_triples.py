@@ -1,6 +1,7 @@
 """Triple enumeration and closure hypergraphs against double-loop oracles."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -16,14 +17,16 @@ from exporamsey import (
     sub_hypergraph,
     triples_within,
 )
+from exporamsey import triples
 from exporamsey.triples import (
     ExpTriple,
+    check_triple_bound,
     hypergraph_from_record,
     hypergraph_record,
     iter_int_triples,
 )
 
-from oracles import closure_edges_oracle, perfect_power_oracle, triples_oracle
+from oracles import canonical_pair, closure_edges_oracle, perfect_power_oracle, triples_oracle
 
 
 def as_ints(triples):
@@ -51,6 +54,46 @@ def test_enumerate_sorted_and_valid():
     for a, b, c in ints:
         assert a ** b == c
         assert a >= 2 and b >= 2
+
+
+def test_enumerate_forms_match_oracle():
+    # the sieve's forms of a, b and c = a**b against brute-force canonical pairs
+    n = 10 ** 7
+    expected = sorted(triples_oracle(n), key=lambda t: (t[2], t[0], t[1]))
+    got = enumerate_triples(n)
+    assert len(got) == len(expected)
+    for t, (a, b, c) in zip(got, expected):
+        assert (t.a.root, t.a.exponent) == canonical_pair(a, 1)
+        assert (t.b.root, t.b.exponent) == canonical_pair(b, 1)
+        assert (t.c.root, t.c.exponent) == canonical_pair(a, b)
+        assert evaluate(t.c) == c
+
+
+def test_triple_bound_refused_at_once():
+    limit = triples._MAX_TRIPLE_BASE
+    over = (limit + 1) ** 2  # the smallest bound whose square root passes the limit
+    check_triple_bound(10 ** 12)
+    check_triple_bound(over - 1)
+    calls = [
+        lambda: enumerate_triples(over),
+        lambda: next(iter_int_triples(over)),
+        lambda: check_triple_bound(over),
+    ]
+    for call in calls:
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match=f"over the limit {limit}"):
+                call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024  # enumerating would hold millions of tuples
+    with pytest.raises(CapacityError):
+        enumerate_triples(10 ** 20)
+    with pytest.raises(DomainError):
+        check_triple_bound(-1)
+    with pytest.raises(CapacityError, match="value_bit_cap"):
+        check_triple_bound(1 << 70, Caps(value_bit_cap=64))
 
 
 def test_derived_forms_are_canonical():
