@@ -11,8 +11,7 @@ Subcommands mirror the library modules:
 
 Exit codes: 0 success, 1 domain error, 2 capacity error or an inconclusive
 verdict, 3 usage error.  All arbitrary-precision values are printed as exact
-decimal strings.  With --deterministic, identical invocations produce
-byte-identical output.
+decimal strings.  Identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -21,13 +20,14 @@ import argparse
 import functools
 import json
 import sys
+from dataclasses import replace
 
 from . import coloring as col_mod
 from . import greedy as greedy_mod
 from . import ipsets as ip_mod
 from . import structures as struct_mod
 from . import triples as tri_mod
-from .config import DEFAULT_CAPS, RunConfig, caps_with, threads_from_env
+from .config import DEFAULT_CAPS, RunConfig
 from .errors import (
     CapacityError,
     DomainError,
@@ -40,7 +40,9 @@ EXIT_DOMAIN = 1
 EXIT_CAPACITY = 2
 EXIT_USAGE = 3
 
-_FORMATS = ("json", "csv", "dimacs")
+# run settings: one name each for the flag, the config key and the Caps field
+_CAP_KEYS = ("value_bit_cap", "exp_bit_cap", "vertex_budget", "search_budget")
+_FORMATS = ("json", "csv")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -69,11 +71,7 @@ def build_parser() -> _Parser:
     parser.add_argument("--exp-bit-cap", type=int, default=None)
     parser.add_argument("--vertex-budget", type=int, default=None)
     parser.add_argument("--search-budget", type=int, default=None,
-                        help="seed/fegen search budget")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker count; EXPORAMSEY_THREADS overrides the default")
-    parser.add_argument("--deterministic", action="store_true", default=None,
-                        help="single-threaded, byte-stable output")
+                        help="budget of the IP seed and greedy block searches")
     parser.add_argument("--format", choices=_FORMATS, default=None)
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -187,46 +185,31 @@ def _load_config(args) -> RunConfig:
             raise DomainError(f"cannot read config file {args.config}: {exc}") from exc
         if not isinstance(file_values, dict):
             raise DomainError("config file must hold a JSON object")
+        for key in file_values:
+            if key not in _CAP_KEYS and key != "format":
+                raise DomainError(
+                    f"unknown config key {key!r}; known keys: {', '.join(_CAP_KEYS)}, format"
+                )
 
-    def pick(flag_value, key, fallback):
-        if flag_value is not None:
-            return flag_value
-        return file_values.get(key, fallback)
+    def pick(key, fallback=None):  # an explicit flag wins over the config file
+        value = getattr(args, key)
+        return file_values.get(key, fallback) if value is None else value
 
-    def pick_int(flag_value, key):
-        value = pick(flag_value, key, None)
-        if value is not None and type(value) is not int:  # bool is not a count
+    overrides = {}
+    for key in _CAP_KEYS:
+        value = pick(key)
+        if value is None:
+            continue
+        if type(value) is not int:  # bool is not a count
             raise DomainError(f"config value {key} must be an integer, got {value!r}")
-        return value
-
-    caps = caps_with(
-        DEFAULT_CAPS,
-        value_bit_cap=pick_int(args.value_bit_cap, "value_bit_cap"),
-        exp_bit_cap=pick_int(args.exp_bit_cap, "exp_bit_cap"),
-        vertex_budget=pick_int(args.vertex_budget, "vertex_budget"),
-        seed_search_budget=pick_int(args.search_budget, "search_budget"),
-        fegen_budget=pick_int(args.search_budget, "search_budget"),
-    )
-    threads = pick_int(args.threads, "threads")
-    if threads is None:
-        threads = threads_from_env(1)
-    elif threads < 1:
-        raise DomainError(f"threads must be >= 1, got {threads}")
-    fmt = pick(args.format, "format", "json")
+        overrides[key] = value
+    fmt = pick("format", "json")
     if fmt not in _FORMATS:
         raise DomainError(f"format must be one of {', '.join(_FORMATS)}, got {fmt!r}")
-    deterministic = pick(args.deterministic, "deterministic", False)
-    if type(deterministic) is not bool:
-        raise DomainError(f"deterministic must be true or false, got {deterministic!r}")
-    return RunConfig(
-        caps=caps,
-        deterministic=deterministic,
-        threads=threads,
-        fmt=fmt,
-    )
+    return RunConfig(caps=replace(DEFAULT_CAPS, **overrides), fmt=fmt)
 
 
-def _window_set_from_args(args, caps) -> ip_mod.WindowSet:
+def _window_set_from_args(args) -> ip_mod.WindowSet:
     if args.members is not None and args.spec is not None:
         raise DomainError("give either --members or --spec, not both")
     if args.members is not None:
@@ -249,18 +232,19 @@ def _hypergraph_from_args(args, caps) -> tri_mod.TripleHypergraph:
     return tri_mod.exp_closure(args.seeds, args.depth, caps)
 
 
+# generator subcommand: (record kind, generator); the generator is looked up
+# in `structures` at call time, so a rebound module attribute takes effect
+_STRUCTURES = {
+    "fs": ("FS", lambda args, caps: struct_mod.fs(args.seeds, caps)),
+    "fp": ("FP", lambda args, caps: struct_mod.fp(args.seeds, caps)),
+    "fe1": ("FE1", lambda args, caps: struct_mod.fe1(args.seeds, args.depth, caps)),
+    "fe2": ("FE2", lambda args, caps: struct_mod.fe2(args.seeds, args.depth, caps)),
+}
+
+
 def _run_structures(args, cfg: RunConfig, out) -> int:
-    caps = cfg.caps
-    gen = args.generator
-    if gen == "fs":
-        rec = struct_mod.level_record("FS", args.seeds, struct_mod.fs(args.seeds, caps), caps)
-    elif gen == "fp":
-        rec = struct_mod.level_record("FP", args.seeds, struct_mod.fp(args.seeds, caps), caps)
-    elif gen == "fe1":
-        rec = struct_mod.level_record("FE1", args.seeds, struct_mod.fe1(args.seeds, args.depth, caps), caps)
-    else:
-        rec = struct_mod.level_record("FE2", args.seeds, struct_mod.fe2(args.seeds, args.depth, caps), caps)
-    _dump(rec, out)
+    kind, generate = _STRUCTURES[args.generator]
+    _dump(struct_mod.level_record(kind, args.seeds, generate(args, cfg.caps), cfg.caps), out)
     return EXIT_OK
 
 
@@ -330,14 +314,14 @@ def _run_color(args, cfg: RunConfig, out) -> int:
 def _run_ip(args, cfg: RunConfig, out) -> int:
     caps = cfg.caps
     if args.action == "transform":
-        a = _window_set_from_args(args, caps)
+        a = _window_set_from_args(args)
         result = ip_mod.transform(a, args.op, args.n)
         _dump({"op": args.op, "n": args.n,
                "input": ip_mod.windowset_record(a),
                "result": ip_mod.windowset_record(result)}, out)
         return EXIT_OK
     if args.action == "find-seed":
-        a = _window_set_from_args(args, caps)
+        a = _window_set_from_args(args)
         search = ip_mod.find_fs_seed if args.kind == "additive" else ip_mod.find_fp_seed
         result = search(a, args.m, caps)
         _dump({"kind": args.kind, "m": args.m, **ip_mod.seed_result_record(result)}, out)
@@ -349,13 +333,13 @@ def _run_ip(args, cfg: RunConfig, out) -> int:
                **ip_mod.verdict_record(verdict)}, out)
         return EXIT_CAPACITY if verdict.verdict == "inconclusive" else EXIT_OK
     if args.action == "gp":
-        a = _window_set_from_args(args, caps)
+        a = _window_set_from_args(args)
         pairs = ip_mod.find_geometric_progressions(a, args.length)
         _dump({"length": args.length,
                "progressions": [[str(s), str(h)] for s, h in pairs]}, out)
         return EXIT_OK
     assert args.action == "powerprog"
-    a = _window_set_from_args(args, caps)
+    a = _window_set_from_args(args)
     bases = ip_mod.find_power_progressions(a, args.length)
     _dump({"length": args.length, "bases": [str(h) for h in bases]}, out)
     return EXIT_OK

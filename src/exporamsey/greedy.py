@@ -266,7 +266,7 @@ def _search_blocks(
             f"carrier prefix length {len(ys)} exceeds block_index_limit {caps.block_index_limit}"
         )
     mode = _parse_f_spec(f_spec, multiplicative)
-    limit = budget if budget is not None else caps.fegen_budget
+    limit = budget if budget is not None else caps.search_budget
     explored = 0
     undecidable = 0
 

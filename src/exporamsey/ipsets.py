@@ -122,7 +122,7 @@ def _seed_search(a: WindowSet, m: int, multiplicative: bool, caps: Caps) -> Seed
     if m < 1:
         raise DomainError("seed size must be >= 1")
     members = a.sorted_members()
-    budget = caps.seed_search_budget
+    budget = caps.search_budget
     examined = 0
 
     # depth-first lexicographic extension; a partial prefix is pruned as soon

@@ -2,11 +2,16 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import exporamsey
 from exporamsey import schemas
 from exporamsey.cli import main
 
@@ -342,14 +347,29 @@ def test_parser_state_does_not_leak_between_calls():
 
 
 def test_deterministic_byte_identical():
-    args = ("--deterministic", "closure", "--seeds", "2,3", "--depth", "2")
+    args = ("closure", "--seeds", "2,3", "--depth", "2")
     _, first = run_cli(*args)
     _, second = run_cli(*args)
     assert first == second
-    args2 = ("--deterministic", "color", "solve", "--seeds", "2,3", "--depth", "2")
+    args2 = ("color", "solve", "--seeds", "2,3", "--depth", "2")
     _, a = run_cli(*args2)
     _, b = run_cli(*args2)
     assert a == b
+
+
+@pytest.mark.parametrize("argv", [
+    ("closure", "--seeds", "2,3", "--depth", "2"),
+    ("color", "solve", "--seeds", "2,3", "--depth", "2", "--k", "3"),
+])
+def test_byte_identical_across_processes(argv):
+    src = str(Path(exporamsey.__file__).resolve().parents[1])
+    outputs = []
+    for hash_seed in ("0", "12345"):  # set and str iteration order differ between these
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-m", "exporamsey.cli", *argv],
+                              env=env, capture_output=True, check=True, timeout=120)
+        outputs.append(done.stdout)
+    assert outputs[0] and outputs[0] == outputs[1]
 
 
 def test_config_file_merge(tmp_path):
@@ -374,9 +394,10 @@ def test_config_file_merge(tmp_path):
 @pytest.mark.parametrize("values, message", [
     ({"value_bit_cap": "big"}, "value_bit_cap must be an integer"),
     ({"vertex_budget": True}, "vertex_budget must be an integer"),
-    ({"threads": 0}, "threads must be >= 1, got 0"),
-    ({"format": "xml"}, "format must be one of json, csv, dimacs"),
-    ({"deterministic": "no"}, "deterministic must be true or false"),
+    ({"threads": 2}, "unknown config key 'threads'"),
+    ({"format": "dimacs"}, "format must be one of json, csv, got 'dimacs'"),
+    ({"deterministic": True}, "unknown config key 'deterministic'"),
+    ({"vertex-budget": 3}, "unknown config key 'vertex-budget'"),
 ])
 def test_config_file_values_checked(tmp_path, capsys, values, message):
     cfg = tmp_path / "cfg.json"
@@ -386,30 +407,37 @@ def test_config_file_values_checked(tmp_path, capsys, values, message):
     assert message in capsys.readouterr().err
 
 
-def test_threads_flag_checked(capsys):
-    assert run_cli("--threads", "0", "triples", "enum", "--max", "4") == (1, "")
-    assert "threads must be >= 1, got 0" in capsys.readouterr().err
-    assert run_cli("--threads", "2", "triples", "enum", "--max", "4")[0] == 0
-
-
-def test_rng_seed_flag_removed():
-    assert run_cli("--rng-seed", "5", "triples", "enum", "--max", "4") == (3, "")
+@pytest.mark.parametrize("flags", [
+    ("--rng-seed", "5"), ("--threads", "2"), ("--deterministic",), ("--format", "dimacs"),
+], ids=" ".join)
+def test_removed_flags_are_usage_errors(flags):
+    assert run_cli(*flags, "triples", "enum", "--max", "4") == (3, "")
 
 
 def test_threads_env_var(monkeypatch):
-    monkeypatch.setenv("EXPORAMSEY_THREADS", "4")
-    code, data = run_json("triples", "enum", "--max", "4")
-    assert code == 0 and len(data) == 1
-    monkeypatch.setenv("EXPORAMSEY_THREADS", "zero")
-    code, _ = run_cli("triples", "enum", "--max", "4")
-    assert code == 1
+    """EXPORAMSEY_THREADS is read by nothing: no value changes the output or exit code."""
+    expected = run_cli("triples", "enum", "--max", "4")
+    assert expected[0] == 0
+    for raw in ("4", "zero", "0"):
+        monkeypatch.setenv("EXPORAMSEY_THREADS", raw)
+        assert run_cli("triples", "enum", "--max", "4") == expected
 
 
-def test_threads_env_var_read_only_when_unset(tmp_path, monkeypatch):
-    monkeypatch.setenv("EXPORAMSEY_THREADS", "zero")
-    assert run_cli("--threads", "2", "triples", "enum", "--max", "4")[0] == 0
+FEGEN = ("greedy", "fegen1", "--spec", "all", "--y", "1,2,4,8",
+         "--f", "constant:2", "--steps", "2")  # explores 2 block tuples
+
+
+def test_search_budget_bounds_fegen(tmp_path):
+    code, data = run_json("--search-budget", "1", *FEGEN)
+    assert code == 2 and data["status"] == "inconclusive"
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"threads": 2}))
-    assert run_cli("--config", str(cfg), "triples", "enum", "--max", "4")[0] == 0
-    monkeypatch.setenv("EXPORAMSEY_THREADS", "0")
-    assert run_cli("triples", "enum", "--max", "4") == (1, "")
+    cfg.write_text(json.dumps({"search_budget": 1}))
+    code, data = run_json("--config", str(cfg), *FEGEN)
+    assert code == 2 and data["status"] == "inconclusive"
+    # the subcommand's --budget wins over the global budget either way
+    code, data = run_json("--search-budget", "1", *FEGEN, "--budget", "2")
+    assert code == 0 and data["status"] == "success"
+    code, data = run_json("--config", str(cfg), *FEGEN, "--budget", "2")
+    assert code == 0 and data["status"] == "success"
+    code, data = run_json("--search-budget", "2", *FEGEN, "--budget", "1")
+    assert code == 2 and data["status"] == "inconclusive"

@@ -154,7 +154,7 @@ def test_seed_search_against_full_enumeration():
 
 def test_seed_search_budget_inconclusive():
     a = window_set(1, 40, range(1, 41))
-    tight = Caps(seed_search_budget=3)
+    tight = Caps(search_budget=3)
     out = find_fs_seed(a, 4, tight)
     assert out.status == "inconclusive"
     with pytest.raises(DomainError):
@@ -186,7 +186,7 @@ def test_ip_star_witness_inside_complement():
 
 def test_ip_star_inconclusive_on_budget():
     alln = SetSpec.explicit(set())  # complement is the whole window
-    tight = Caps(seed_search_budget=2)
+    tight = Caps(search_budget=2)
     out = is_ip_star_window(alln, "additive", 3, (1, 100), tight)
     assert out.verdict == "inconclusive"
 

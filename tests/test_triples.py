@@ -168,12 +168,16 @@ def test_closure_monotone_in_depth():
             prev = verts
 
 
-def test_closure_edges_match_triples_within():
-    for seeds, depth in (({2}, 3), ({3}, 2), ({2, 3}, 2)):
-        h = exp_closure(seeds, depth)
-        expected = triples_within(h.vertices)
-        got = [h.edge_forms(e) for e in h.edges]
-        assert got == expected
+def test_triples_within_matches_oracle_off_closure():
+    h = exp_closure({2, 3}, 2)
+    subset = h.vertices[::2]  # ascending, every other vertex
+    assert {normalize(2), normalize(4)} <= set(subset)
+    assert normalize(2 ** 4) not in subset  # so the subset is not a closure
+    index = {v: i for i, v in enumerate(subset)}
+    got = [(index[t.a], index[t.b], index[t.c]) for t in triples_within(set(subset))]
+    want = closure_edges_oracle([(v.root, v.exponent) for v in subset])
+    assert got and got == want
+    assert len(got) < len(triples_within(h.vertices))
 
 
 @pytest.mark.parametrize("seeds, depth, caps", [
@@ -183,6 +187,9 @@ def test_closure_edges_match_triples_within():
     ({2, 3}, 3, Caps()),
     ({3, 9}, 2, Caps()),
     ({2}, 3, Caps(value_bit_cap=64)),
+    ({2}, 3, Caps()),
+    ({3}, 2, Caps()),
+    ({2, 3}, 2, Caps()),
 ])
 def test_closure_edges_match_oracle(seeds, depth, caps):
     h = exp_closure(seeds, depth, caps)
