@@ -19,15 +19,16 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from . import coloring as col_mod
 from . import greedy as greedy_mod
 from . import ipsets as ip_mod
 from . import structures as struct_mod
 from . import triples as tri_mod
-from .config import DEFAULT_CAPS, RunConfig
+from .config import DEFAULT_CAPS, Caps, RunConfig
 from .errors import (
     CapacityError,
     DomainError,
@@ -41,7 +42,8 @@ EXIT_CAPACITY = 2
 EXIT_USAGE = 3
 
 # run settings: one name each for the flag, the config key and the Caps field
-_CAP_KEYS = ("value_bit_cap", "exp_bit_cap", "vertex_budget", "search_budget")
+_CAP_KEYS = tuple(f.name for f in fields(Caps))
+_CAP_HELP = {"search_budget": "budget of the IP seed and greedy block searches"}
 _FORMATS = ("json", "csv")
 
 
@@ -67,11 +69,9 @@ def _dump(obj, stream) -> None:
 def build_parser() -> _Parser:
     parser = _Parser(prog="exporamsey", description=__doc__.splitlines()[0])
     parser.add_argument("--config", help="JSON config file; explicit flags win")
-    parser.add_argument("--value-bit-cap", type=int, default=None)
-    parser.add_argument("--exp-bit-cap", type=int, default=None)
-    parser.add_argument("--vertex-budget", type=int, default=None)
-    parser.add_argument("--search-budget", type=int, default=None,
-                        help="budget of the IP seed and greedy block searches")
+    for key in _CAP_KEYS:
+        parser.add_argument("--" + key.replace("_", "-"), type=int, default=None,
+                            help=_CAP_HELP.get(key))
     parser.add_argument("--format", choices=_FORMATS, default=None)
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -275,7 +275,7 @@ def _run_color(args, cfg: RunConfig, out) -> int:
     caps = cfg.caps
     if args.action == "solve":
         h = _hypergraph_from_args(args, caps)
-        witness = col_mod.solve_colorability(h, args.k, args.method, caps)
+        witness = col_mod.solve_colorability(h, args.k, args.method)
         if witness is None:
             _dump({"status": "UNSAT", "k": args.k, "method": args.method}, out)
         else:
@@ -375,6 +375,24 @@ def _parser() -> _Parser:
     return build_parser()
 
 
+def _check_global_flags(parser: _Parser, argv) -> None:
+    """Name an unknown --option ahead of the subcommand in the usage error.
+
+    argparse would take the option's value for the subcommand and name that.
+    """
+    known = parser._option_string_actions
+    tokens = iter(argv)
+    for token in tokens:
+        name, eq, _ = token.partition("=")
+        if not name.startswith("--"):
+            return
+        matches = [flag for flag in known if flag.startswith(name)]  # argparse takes prefixes
+        if not matches:
+            parser.error(f"unrecognized arguments: {name}")
+        if not eq and known[matches[0]].nargs != 0:
+            next(tokens, None)  # the option's value
+
+
 _COMMANDS = {
     "structures": _run_structures,
     "triples": _run_triples,
@@ -386,14 +404,23 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _parser()
     try:
-        args = _parser().parse_args(argv)
+        _check_global_flags(parser, argv)
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 0 for --help; anything else is a usage error
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:
         cfg = _load_config(args)
         return _COMMANDS[args.command](args, cfg, sys.stdout)
+    except BrokenPipeError:
+        # the reader closed stdout; keep the interpreter's final flush silent
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OK
     except (OracleRangeError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY

@@ -37,6 +37,9 @@ __all__ = [
     "counts_csv_rows",
 ]
 
+# k**|V| ceiling for the exhaustive solver.
+_EXHAUSTIVE_BUDGET = 1 << 24
+
 
 @dataclass(frozen=True)
 class Coloring:
@@ -69,11 +72,9 @@ def _constraints(edges: Iterable[tuple[int, int, int]]) -> list[tuple[int, ...]]
     return sorted({tuple(sorted(set(e))) for e in edges})
 
 
-def _solve_exhaustive(
-    n: int, edges: Sequence[tuple[int, int, int]], k: int, budget: int
-) -> list[int] | None:
-    if k ** n > budget:
-        raise CapacityError(f"exhaustive method budget exceeded: {k}^{n} > {budget}")
+def _solve_exhaustive(n: int, edges: Sequence[tuple[int, int, int]], k: int) -> list[int] | None:
+    if k ** n > _EXHAUSTIVE_BUDGET:
+        raise CapacityError(f"exhaustive method budget exceeded: {k}^{n} > {_EXHAUSTIVE_BUDGET}")
     cons = _constraints(edges)
     if k == 2:
         # bitmask scan: assignment x is bad iff some constraint is all-0 or
@@ -195,7 +196,6 @@ def solve_constraints(
     edges: Sequence[tuple[int, int, int]],
     k: int,
     method: str = "backtracking",
-    caps: Caps = DEFAULT_CAPS,
 ) -> list[int] | None:
     """SAT witness (list of colors) or None for UNSAT, on raw index triples."""
     if k < 2:
@@ -208,15 +208,13 @@ def solve_constraints(
     if method == "backtracking":
         return _solve_backtracking(num_vertices, edges, k)
     if method == "exhaustive":
-        return _solve_exhaustive(num_vertices, edges, k, caps.exhaustive_budget)
+        return _solve_exhaustive(num_vertices, edges, k)
     raise DomainError(f"unknown method {method!r}")
 
 
-def solve_colorability(
-    h: TripleHypergraph, k: int, method: str = "backtracking", caps: Caps = DEFAULT_CAPS
-) -> Coloring | None:
+def solve_colorability(h: TripleHypergraph, k: int, method: str = "backtracking") -> Coloring | None:
     """Proper k-coloring of h (no monochromatic edge) or None if none exists."""
-    witness = solve_constraints(len(h.vertices), h.edges, k, method, caps)
+    witness = solve_constraints(len(h.vertices), h.edges, k, method)
     if witness is None:
         return None
     col = Coloring(k=k, colors=tuple(witness))

@@ -29,6 +29,11 @@ from .tower import PowerForm, evaluate, powerform_record, sorted_forms
 
 # Bit-length ceiling for integers materialized only to ask an oracle about.
 _MEMBERSHIP_BIT_LIMIT = 1 << 22
+# Largest type-I level maximum N_i whose bases [2, N_i] a greedy step sweeps.
+_GREEDY_BASE_LIMIT = 1_000_000
+# Block searches: most indices per block, and longest carrier prefix.
+_BLOCK_SIZE_LIMIT = 4
+_BLOCK_INDEX_LIMIT = 32
 
 
 class _SearchBudget(Exception):
@@ -134,7 +139,7 @@ def _greedy_fe(
             what = "maximum" if type_one else "element"
             return GreedyFailure(step=i + 1, reason="oracle range",
                                  detail=f"level {what} not evaluable")
-        if type_one and n_i > caps.greedy_base_limit:
+        if type_one and n_i > _GREEDY_BASE_LIMIT:
             return GreedyFailure(step=i + 1, reason="capacity",
                                  detail=f"level maximum {n_i} exceeds greedy_base_limit")
         chosen = None
@@ -240,10 +245,10 @@ def _family_holds(spec: SetSpec, v: int, l: int, multiplicative: bool) -> bool:
     return True
 
 
-def _block_candidates(start: int, n: int, size_limit: int) -> list[tuple[int, ...]]:
+def _block_candidates(start: int, n: int) -> list[tuple[int, ...]]:
     pool = range(start, n)
     combos = itertools.chain.from_iterable(
-        itertools.combinations(pool, size) for size in range(1, size_limit + 1)
+        itertools.combinations(pool, size) for size in range(1, _BLOCK_SIZE_LIMIT + 1)
     )
     return sorted(combos)
 
@@ -261,9 +266,9 @@ def _search_blocks(
         raise DomainError("steps must be >= 1")
     if not ys or not all(isinstance(v, int) and v >= 1 for v in ys):
         raise DomainError("carrier prefix must be positive integers")
-    if len(ys) > caps.block_index_limit:
+    if len(ys) > _BLOCK_INDEX_LIMIT:
         raise CapacityError(
-            f"carrier prefix length {len(ys)} exceeds block_index_limit {caps.block_index_limit}"
+            f"carrier prefix length {len(ys)} exceeds block_index_limit {_BLOCK_INDEX_LIMIT}"
         )
     mode = _parse_f_spec(f_spec, multiplicative)
     limit = budget if budget is not None else caps.search_budget
@@ -295,7 +300,7 @@ def _search_blocks(
         if f_j is None:
             undecidable += 1
             return None
-        for block in _block_candidates(start, len(ys), caps.block_size_limit):
+        for block in _block_candidates(start, len(ys)):
             explored += 1
             if explored > limit:
                 raise _SearchBudget()

@@ -9,8 +9,7 @@ inconclusive) because no window can certify the infinitary property.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .config import Caps, DEFAULT_CAPS
 from .errors import DomainError, OracleRangeError
@@ -166,61 +165,45 @@ def find_fp_seed(a: WindowSet, m: int, caps: Caps = DEFAULT_CAPS) -> SeedSearchR
     return _seed_search(a, m, multiplicative=True, caps=caps)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SetSpec:
     """Membership oracle for a (possibly infinite) set of naturals.
 
-    kinds: explicit (closed-world finite list), residue (n % modulus ==
-    residue), rule (DSL expression, member iff value mod 2 == 1), complement.
-    A window, when present, bounds where membership may be queried; queries
+    Built by explicit (closed-world finite list), residues (n % modulus ==
+    residue), from_rule (DSL expression, member iff value mod 2 == 1) or
+    complement_of, each of which compiles its membership test once.  A
+    window, when present, bounds where membership may be queried; queries
     outside it raise OracleRangeError.
     """
 
-    kind: str
-    members: frozenset[int] | None = None
-    modulus: int | None = None
-    residue: int | None = None
-    source: str | None = None
-    inner: "SetSpec | None" = None
-    window: tuple[int, int] | None = None
+    window: tuple[int, int] | None
+    test: Callable[[int], bool]
 
     @staticmethod
     def explicit(members: Iterable[int], window: tuple[int, int] | None = None) -> "SetSpec":
-        return SetSpec(kind="explicit", members=frozenset(members), window=window)
+        return SetSpec(window, frozenset(members).__contains__)
 
     @staticmethod
     def residues(modulus: int, residue: int, window: tuple[int, int] | None = None) -> "SetSpec":
         if modulus < 1 or residue < 0 or residue >= modulus:
             raise DomainError(f"invalid residue class {residue} mod {modulus}")
-        return SetSpec(kind="residue", modulus=modulus, residue=residue, window=window)
+        return SetSpec(window, lambda n: n % modulus == residue)
 
     @staticmethod
     def from_rule(source: str, window: tuple[int, int] | None = None) -> "SetSpec":
-        parse_rule(source, 2)  # fail fast on syntax errors
-        return SetSpec(kind="rule", source=source, window=window)
+        rule = parse_rule(source, 2)
+        return SetSpec(window, lambda n: rule.color(n) == 1)
 
     @staticmethod
     def complement_of(inner: "SetSpec", window: tuple[int, int] | None = None) -> "SetSpec":
-        return SetSpec(kind="complement", inner=inner, window=window)
-
-    @cached_property
-    def _rule(self):
-        return parse_rule(self.source, 2) if self.kind == "rule" else None
+        return SetSpec(window, lambda n: not inner.contains(n))
 
     def contains(self, n: int) -> bool:
         if n < 0:
             raise DomainError("membership is defined on the naturals")
         if self.window is not None and not (self.window[0] <= n <= self.window[1]):
             raise OracleRangeError(n)
-        if self.kind == "explicit":
-            return n in self.members
-        if self.kind == "residue":
-            return n % self.modulus == self.residue
-        if self.kind == "rule":
-            return self._rule.color(n) == 1
-        if self.kind == "complement":
-            return not self.inner.contains(n)
-        raise DomainError(f"unknown SetSpec kind {self.kind!r}")
+        return self.test(n)
 
     def materialize(self, lo: int, hi: int) -> WindowSet:
         return window_set(lo, hi, (n for n in range(lo, hi + 1) if self.contains(n)))

@@ -15,6 +15,9 @@ from .config import Caps, DEFAULT_CAPS
 from .errors import CapacityError, DomainError
 from .tower import PowerForm, normalize, power, powerform_record, sorted_forms, try_evaluate
 
+# |X| guard for finite sums and products, whose sets have up to 2**|X| - 1 elements.
+_SUBSET_SIZE_GUARD = 25
+
 
 @dataclass(frozen=True)
 class FeLevel:
@@ -25,21 +28,19 @@ class FeLevel:
     dropped_count: int
 
 
-def _carrier(xs: Iterable[int], caps: Caps) -> list[int]:
+def _carrier(xs: Iterable[int]) -> list[int]:
     vals = sorted(set(xs))
     if not all(isinstance(x, int) and x >= 1 for x in vals):
         raise DomainError("carrier elements must be integers >= 1")
-    if len(vals) > caps.subset_size_guard:
-        raise CapacityError(
-            f"carrier size {len(vals)} exceeds subset guard {caps.subset_size_guard}"
-        )
+    if len(vals) > _SUBSET_SIZE_GUARD:
+        raise CapacityError(f"carrier size {len(vals)} exceeds subset guard {_SUBSET_SIZE_GUARD}")
     return vals
 
 
 def fs(xs: Iterable[int], caps: Caps = DEFAULT_CAPS) -> set[int]:
     """All sums of non-empty subsets of xs."""
     sums: set[int] = set()
-    for x in _carrier(xs, caps):
+    for x in _carrier(xs):
         sums |= {x} | {s + x for s in sums}
     return sums
 
@@ -47,7 +48,7 @@ def fs(xs: Iterable[int], caps: Caps = DEFAULT_CAPS) -> set[int]:
 def fp(xs: Iterable[int], caps: Caps = DEFAULT_CAPS) -> set[int]:
     """All products of non-empty subsets of xs, capped at value_bit_cap."""
     prods: set[int] = set()
-    for x in _carrier(xs, caps):
+    for x in _carrier(xs):
         new = {x} | {p * x for p in prods}
         for v in new:
             if v.bit_length() > caps.value_bit_cap:

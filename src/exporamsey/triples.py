@@ -37,6 +37,8 @@ _TRIPLE_B_BITS = 1 << 20
 # bases) is allowed, and 10**20 (10**10 bases) is refused before anything is
 # allocated.
 _MAX_TRIPLE_BASE = 1 << 22
+# Closure rounds allowed per run.
+_MAX_CLOSURE_DEPTH = 4
 
 
 @dataclass(frozen=True, slots=True)
@@ -217,10 +219,8 @@ def exp_closure(seeds: Iterable[int], depth: int, caps: Caps = DEFAULT_CAPS) -> 
         raise DomainError("closure seeds must be integers >= 2")
     if depth < 0:
         raise DomainError("depth must be >= 0")
-    if depth > caps.max_closure_depth:
-        raise CapacityError(
-            f"depth {depth} exceeds max_closure_depth {caps.max_closure_depth}"
-        )
+    if depth > _MAX_CLOSURE_DEPTH:
+        raise CapacityError(f"depth {depth} exceeds max_closure_depth {_MAX_CLOSURE_DEPTH}")
 
     vertices = {normalize(s, caps) for s in seed_list}
     dropped = 0

@@ -398,6 +398,7 @@ def test_config_file_merge(tmp_path):
     ({"format": "dimacs"}, "format must be one of json, csv, got 'dimacs'"),
     ({"deterministic": True}, "unknown config key 'deterministic'"),
     ({"vertex-budget": 3}, "unknown config key 'vertex-budget'"),
+    ({"block_size_limit": 8}, "unknown config key 'block_size_limit'"),
 ])
 def test_config_file_values_checked(tmp_path, capsys, values, message):
     cfg = tmp_path / "cfg.json"
@@ -410,8 +411,56 @@ def test_config_file_values_checked(tmp_path, capsys, values, message):
 @pytest.mark.parametrize("flags", [
     ("--rng-seed", "5"), ("--threads", "2"), ("--deterministic",), ("--format", "dimacs"),
 ], ids=" ".join)
-def test_removed_flags_are_usage_errors(flags):
+def test_removed_flags_are_usage_errors(capsys, flags):
     assert run_cli(*flags, "triples", "enum", "--max", "4") == (3, "")
+    assert flags[0] in capsys.readouterr().err
+
+
+def test_closed_stdout_exits_quietly():
+    """A reader that stops early, as `| head -c 10` does, sees exit 0 and no traceback."""
+    src = str(Path(exporamsey.__file__).resolve().parents[1])
+    argv = [sys.executable, "-m", "exporamsey.cli", "triples", "enum", "--max", "100000000"]
+    with subprocess.Popen(argv, env=dict(os.environ, PYTHONPATH=src),
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        code = proc.wait(timeout=120)
+        err = proc.stderr.read()
+    assert (code, err) == (0, b"")
+
+
+def _seq(n):
+    return ",".join(str(i) for i in range(1, n + 1))
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("closure", "--seeds", "2", "--depth", "5"), "depth 5 exceeds max_closure_depth 4"),
+    (("structures", "fs", "--seeds", _seq(26)), "carrier size 26 exceeds subset guard 25"),
+    (("color", "solve", "--seeds", "2,3", "--depth", "2", "--k", "3", "--method", "exhaustive"),
+     "exhaustive method budget exceeded: 3^28 > 16777216"),
+    (("greedy", "fegen1", "--spec", "all", "--y", _seq(33), "--f", "constant:2", "--steps", "1"),
+     "carrier prefix length 33 exceeds block_index_limit 32"),
+    (("greedy", "fe1", "--spec", "all", "--depth", "4", "--lo", "2", "--hi", "100"),
+     "level maximum 1152921504606846976 exceeds greedy_base_limit"),
+], ids=["max_closure_depth", "subset_size_guard", "exhaustive_budget", "block_index_limit",
+        "greedy_base_limit"])
+def test_fixed_guards_pinned(capsys, argv, message):
+    """Each guard no flag can move stops the run with exit 2 at its fixed value."""
+    code, out = run_cli(*argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    if out:  # the greedy step reports its capacity failure as a record
+        assert (json.loads(out)["detail"], err) == (message, "")
+    else:
+        assert err == f"error: {message}\n"
+
+
+def test_block_size_limit_pinned():
+    # no block passes against the empty set, so the search tries every block
+    # of at most four of the five carrier indices: 5 + 10 + 10 + 5
+    code, data = run_json("greedy", "fegen1", "--spec", "explicit:", "--y", _seq(5),
+                          "--f", "constant:2", "--steps", "1")
+    assert code == 0 and (data["status"], data["explored"]) == ("failure", 30)
 
 
 def test_threads_env_var(monkeypatch):

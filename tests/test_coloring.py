@@ -78,7 +78,7 @@ def test_solve_examples():
 def test_solve_budget_and_validation():
     h = closure2()
     with pytest.raises(CapacityError, match="exhaustive"):
-        solve_colorability(h, 2, "exhaustive", Caps(exhaustive_budget=2))
+        solve_constraints(25, [], 2, "exhaustive")  # 2^25 > 2^24
     with pytest.raises(DomainError):
         solve_colorability(h, 1)
     with pytest.raises(DomainError):

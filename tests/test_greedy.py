@@ -120,9 +120,9 @@ ABOVE_FOUR = SetSpec.residues(1, 0, window=(5, 50))
      {"step": 0, "reason": "oracle range", "detail": "2"}),
     (greedy_fe2, ABOVE_FOUR, 1, (2, 40), Caps(),
      {"step": 0, "reason": "oracle range", "detail": "2"}),
-    (greedy_fe1, ALL, 2, (2, 100), Caps(greedy_base_limit=3),
-     {"step": 2, "reason": "capacity",
-      "detail": "level maximum 8 exceeds greedy_base_limit"}),
+    (greedy_fe1, ALL, 4, (2, 100), Caps(),
+     {"step": 4, "reason": "capacity",
+      "detail": "level maximum 1152921504606846976 exceeds greedy_base_limit"}),
     (greedy_fe1, ALL, 3, (2, 100), Caps(value_bit_cap=16),
      {"step": 3, "reason": "oracle range", "detail": "2^20"}),
     (greedy_fe2, ALL, 3, (2, 100), Caps(value_bit_cap=16),

@@ -8,6 +8,8 @@ from exporamsey import (
     Caps,
     DomainError,
     OracleRangeError,
+    RuleEvaluationError,
+    RuleSyntaxError,
     SetSpec,
     find_fp_seed,
     find_fs_seed,
@@ -268,6 +270,35 @@ def test_parse_set_spec():
         parse_set_spec("wat:1")
     with pytest.raises(DomainError):
         parse_set_spec("residue:2")
+
+
+def test_complement_asks_its_inner_window():
+    spec = parse_set_spec("complement:residue:2:0@1..10@1..100")
+    assert spec.contains(5) and not spec.contains(4)
+    with pytest.raises(OracleRangeError):
+        spec.contains(50)
+
+
+@pytest.mark.parametrize("spec", [
+    SetSpec.explicit({1}), SetSpec.residues(1, 0), SetSpec.from_rule("1"),
+    SetSpec.complement_of(SetSpec.explicit(set())),
+], ids=["explicit", "residue", "rule", "complement"])
+def test_negative_query_is_domain_error(spec):
+    with pytest.raises(DomainError):
+        spec.contains(-1)
+
+
+def test_rule_spec_errors():
+    with pytest.raises(RuleSyntaxError):
+        SetSpec.from_rule("n +")  # refused when built, not when first asked
+    spec = SetSpec.from_rule("n / (n - 5)")
+    assert not spec.contains(6)  # 6 / 1 is even
+    with pytest.raises(RuleEvaluationError):
+        spec.contains(5)
+
+
+def test_specs_from_different_inputs_differ():
+    assert SetSpec.residues(2, 0) != SetSpec.residues(2, 1)
 
 
 def test_windowset_validation_and_records():
