@@ -43,7 +43,8 @@ EXIT_USAGE = 3
 
 # run settings: one name each for the flag, the config key and the Caps field
 _CAP_KEYS = tuple(f.name for f in fields(Caps))
-_CAP_HELP = {"search_budget": "budget of the IP seed and greedy block searches"}
+_CAP_HELP = {"search_budget": "budget of the IP seed and greedy block searches and of the "
+                              "color solve backtracking (color attempts)"}
 _FORMATS = ("json", "csv")
 
 
@@ -275,7 +276,7 @@ def _run_color(args, cfg: RunConfig, out) -> int:
     caps = cfg.caps
     if args.action == "solve":
         h = _hypergraph_from_args(args, caps)
-        witness = col_mod.solve_colorability(h, args.k, args.method)
+        witness = col_mod.solve_colorability(h, args.k, args.method, caps)
         if witness is None:
             _dump({"status": "UNSAT", "k": args.k, "method": args.method}, out)
         else:

@@ -2,7 +2,8 @@
 
 An edge is monochromatic when its deduplicated vertex set lies in one color
 cell; for an edge like (2, 2, 4) the condition is color(2) == color(4).
-The backtracking solver is the workhorse; the exhaustive solver is the
+The workhorse is backtracking with forward checking for every k, each color
+attempt charged to `Caps.search_budget`; the exhaustive solver is the
 independent oracle it is checked against.  `export_dimacs` bridges to
 external SAT solvers.
 """
@@ -90,7 +91,14 @@ def _solve_exhaustive(n: int, edges: Sequence[tuple[int, int, int]], k: int) -> 
     return None
 
 
-def _solve_backtracking(n: int, edges: Sequence[tuple[int, int, int]], k: int) -> list[int] | None:
+def _solve_backtracking(
+    n: int, edges: Sequence[tuple[int, int, int]], k: int, budget: int
+) -> list[int] | None:
+    """First proper coloring in static (-degree, index) order, colors ascending.
+
+    Forward checking prunes only colors no proper completion uses, so the
+    witness is the one plain backtracking in this order would find.
+    """
     cons = _constraints(edges)
     if not cons:
         return [0] * n
@@ -99,96 +107,90 @@ def _solve_backtracking(n: int, edges: Sequence[tuple[int, int, int]], k: int) -
         for v in set(e):
             deg[v] += 1
     order = sorted(range(n), key=lambda v: (-deg[v], v))
-    by_vertex: list[list[int]] = [[] for _ in range(n)]
-    for ci, c in enumerate(cons):
-        for v in c:
-            by_vertex[v].append(ci)
+    by_vertex: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
+    for con in cons:
+        for v in con:
+            by_vertex[v].append(con)
 
     colors = [-1] * n
-    trail: list[int] = []
-
-    def set_color(v: int, c: int) -> bool:
-        """Assign and check v's constraints; False on an immediate conflict."""
-        colors[v] = c
-        trail.append(v)
-        for ci in by_vertex[v]:
-            first = -1
-            for u in cons[ci]:
-                cu = colors[u]
-                if cu < 0 or (first >= 0 and cu != first):
-                    break
-                first = cu
-            else:
-                return False  # fully assigned and monochromatic
-        return True
+    domain = [(1 << k) - 1] * n  # bitmask of the colors still open to each vertex
+    trail: list[int] = []  # assigned vertices, in assignment order
+    removed: list[tuple[int, int]] = []  # (vertex, color bit) taken from its domain
 
     def propagate(start: int) -> bool:
-        """Unit forcing for k=2: one open vertex, the rest monochromatic."""
-        if k != 2:
-            return True
+        """Forward checking over trail[start:]; False on a monochromatic constraint.
+
+        A constraint with one open vertex u whose assigned vertices all hold
+        color c takes c from u's domain; a domain down to one color assigns
+        it.  So an open vertex keeps two or more colors, no domain empties,
+        and every conflict shows as a monochromatic constraint.
+        """
         i = start
         while i < len(trail):
             v = trail[i]
             i += 1
-            for ci in by_vertex[v]:
-                con = cons[ci]
+            c = colors[v]
+            for con in by_vertex[v]:
                 open_v = -1
-                seen = -2
-                uniform = True
-                for u in con:
+                for u in con:  # v itself holds c and passes both tests
                     cu = colors[u]
                     if cu < 0:
                         if open_v >= 0:
-                            uniform = False
                             break
                         open_v = u
-                    elif seen == -2:
-                        seen = cu
-                    elif cu != seen:
-                        uniform = False
+                    elif cu != c:
                         break
-                if not uniform:
-                    continue
-                if open_v < 0:
-                    return False
-                if not set_color(open_v, 1 - seen):
-                    return False
+                else:
+                    if open_v < 0:
+                        return False
+                    bit = 1 << c
+                    d = domain[open_v]
+                    if d & bit:
+                        d ^= bit
+                        domain[open_v] = d
+                        removed.append((open_v, bit))
+                        if not d & (d - 1):
+                            colors[open_v] = d.bit_length() - 1
+                            trail.append(open_v)
         return True
 
-    # decisions: (vertex, next color to try, trail length before the attempt)
+    # decisions: [vertex, next color to try, trail and removed lengths before it, order position]
     decisions: list[list[int]] = []
     ptr = 0
-
-    def next_vertex() -> int:
-        nonlocal ptr
+    attempts = 0
+    while True:
         while ptr < n and colors[order[ptr]] >= 0:
             ptr += 1
-        return order[ptr] if ptr < n else -1
-
-    while True:
-        v = next_vertex()
-        if v < 0:
+        if ptr == n:
             return colors[:]
-        decisions.append([v, 0, len(trail), ptr])
-        advanced = False
-        while decisions and not advanced:
-            v, c, mark, at = decisions[-1]
+        decisions.append([order[ptr], 0, len(trail), len(removed), ptr])
+        while True:
+            top = decisions[-1]
+            v, c, mark, rmark, ptr = top
             # undo anything from a previous failed attempt at this decision
             while len(trail) > mark:
                 colors[trail.pop()] = -1
-            ptr = at
-            if c >= k:
+            while len(removed) > rmark:
+                u, bit = removed.pop()
+                domain[u] |= bit
+            left = domain[v] >> c
+            if not left:
                 decisions.pop()
-                if decisions:
-                    decisions[-1][1] += 1
-                else:
+                if not decisions:
                     return None
-                continue
-            checkpoint = len(trail)
-            if set_color(v, c) and propagate(checkpoint):
-                advanced = True
-            else:
                 decisions[-1][1] += 1
+                continue
+            c += (left & -left).bit_length() - 1
+            attempts += 1
+            if attempts > budget:
+                raise CapacityError(
+                    f"backtracking search budget exceeded: {budget} color attempts")
+            top[1] = c
+            colors[v] = c
+            trail.append(v)
+            if propagate(mark):
+                break
+            top[1] = c + 1
 
 
 def solve_constraints(
@@ -196,6 +198,7 @@ def solve_constraints(
     edges: Sequence[tuple[int, int, int]],
     k: int,
     method: str = "backtracking",
+    caps: Caps = DEFAULT_CAPS,
 ) -> list[int] | None:
     """SAT witness (list of colors) or None for UNSAT, on raw index triples."""
     if k < 2:
@@ -206,15 +209,17 @@ def solve_constraints(
         if any(v < 0 or v >= num_vertices for v in e):
             raise DomainError(f"edge {e} out of range")
     if method == "backtracking":
-        return _solve_backtracking(num_vertices, edges, k)
+        return _solve_backtracking(num_vertices, edges, k, caps.search_budget)
     if method == "exhaustive":
         return _solve_exhaustive(num_vertices, edges, k)
     raise DomainError(f"unknown method {method!r}")
 
 
-def solve_colorability(h: TripleHypergraph, k: int, method: str = "backtracking") -> Coloring | None:
+def solve_colorability(
+    h: TripleHypergraph, k: int, method: str = "backtracking", caps: Caps = DEFAULT_CAPS
+) -> Coloring | None:
     """Proper k-coloring of h (no monochromatic edge) or None if none exists."""
-    witness = solve_constraints(len(h.vertices), h.edges, k, method)
+    witness = solve_constraints(len(h.vertices), h.edges, k, method, caps)
     if witness is None:
         return None
     col = Coloring(k=k, colors=tuple(witness))

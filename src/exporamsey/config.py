@@ -18,7 +18,7 @@ class Caps:
     value_bit_cap: int = 4096          # max bit length of any materialized natural
     exp_bit_cap: int = 65536           # max bit length of a power-form exponent
     vertex_budget: int = 100_000       # closure vertex count before truncation
-    search_budget: int = 1_000_000     # candidates examined by seed and block searches
+    search_budget: int = 1_000_000     # seed and block candidates, backtracking color attempts
 
     def __post_init__(self):
         for name in self.__dataclass_fields__:

@@ -4,7 +4,7 @@ Everything here is written straight from the defining formulas, on plain
 integers or (base, exponent) pairs, sharing no code with the package.
 """
 
-from itertools import combinations
+from itertools import combinations, product
 
 
 def fs_oracle(xs):
@@ -191,6 +191,29 @@ def cnf_satisfied(clauses, true_vars):
         if not any((lit > 0) == (abs(lit) in true_vars) for lit in clause):
             return False
     return True
+
+
+def first_proper_coloring(n, edges, k):
+    """Lexicographically first proper k-coloring, or None when there is none.
+
+    Vertices are ranked by (-degree, index), degree counting the edges whose
+    vertex set holds the vertex; colorings are listed as tuples of colors in
+    that rank order and scanned in lexicographic order.  A coloring is proper
+    when no edge's vertex set is one color.
+    """
+    deg = [0] * n
+    for e in edges:
+        for v in set(e):
+            deg[v] += 1
+    order = sorted(range(n), key=lambda v: (-deg[v], v))
+    vertex_sets = [set(e) for e in edges]
+    for ranked in product(range(k), repeat=n):
+        colors = [0] * n
+        for v, c in zip(order, ranked):
+            colors[v] = c
+        if all(len({colors[v] for v in s}) > 1 for s in vertex_sets):
+            return colors
+    return None
 
 
 def geometric_progressions_oracle(members, hi, length):

@@ -476,6 +476,15 @@ FEGEN = ("greedy", "fegen1", "--spec", "all", "--y", "1,2,4,8",
          "--f", "constant:2", "--steps", "2")  # explores 2 block tuples
 
 
+def test_search_budget_bounds_color_solve(capsys):
+    argv = ("color", "solve", "--seeds", "2,3", "--depth", "3", "--k", "3")
+    assert run_cli("--search-budget", "1000", *argv) == (2, "")
+    assert "backtracking search budget exceeded: 1000" in capsys.readouterr().err
+    code, data = run_json("--search-budget", "150", "color", "solve",
+                          "--seeds", "2", "--depth", "4", "--k", "3")
+    assert code == 0 and data["status"] == "SAT"
+
+
 def test_search_budget_bounds_fegen(tmp_path):
     code, data = run_json("--search-budget", "1", *FEGEN)
     assert code == 2 and data["status"] == "inconclusive"

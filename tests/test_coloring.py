@@ -29,7 +29,7 @@ from exporamsey.coloring import (
     solve_constraints,
 )
 
-from oracles import cnf_satisfied, parse_dimacs, triples_oracle
+from oracles import cnf_satisfied, first_proper_coloring, parse_dimacs, triples_oracle
 
 
 def closure2():
@@ -122,11 +122,62 @@ def test_solver_agreement_dense_random_constraints():
         bt = solve_constraints(n, edges, 2, "backtracking")
         ex = solve_constraints(n, edges, 2, "exhaustive")
         assert (bt is None) == (ex is None)
+        assert bt == first_proper_coloring(n, edges, 2)
         statuses.add(bt is None)
         if bt is not None:
             for u, v, w in edges:
                 assert len({bt[u], bt[v], bt[w]}) > 1
     assert statuses == {True, False}  # both SAT and UNSAT were exercised
+
+
+@pytest.mark.parametrize("k, max_n, seed, density, pairs", [(3, 11, 7, 1, 0.6), (4, 8, 8, 2, 0.8)])
+def test_solver_agreement_dense_random_constraints_many_colors(k, max_n, seed, density, pairs):
+    # edges (u, u, w) make a graph part: K_{k+1} in it is UNSAT on its own;
+    # k**n stays under the exhaustive solver's 2^24
+    rng = random.Random(seed)
+    statuses = set()
+    for _ in range(24):
+        n = rng.randrange(k + 1, max_n + 1)
+        edges = []
+        for _ in range(rng.randrange(density * n, (density + 4) * n)):
+            u, v, w = rng.sample(range(n), 3)
+            edges.append((u, u, w) if rng.random() < pairs else (u, v, w))
+        bt = solve_constraints(n, edges, k, "backtracking")
+        ex = solve_constraints(n, edges, k, "exhaustive")
+        assert (bt is None) == (ex is None)
+        # the witness is the first proper coloring in (-degree, index) order
+        assert bt == first_proper_coloring(n, edges, k)
+        statuses.add(bt is None)
+    assert statuses == {True, False}  # both SAT and UNSAT were exercised
+
+
+def test_forward_checking_colors_full_closure():
+    h = exp_closure({2}, 4)  # 112 vertices, 512 edges
+    for k in (3, 4):
+        col = solve_colorability(h, k)
+        assert col is not None and col.k == k
+        assert check_coloring(h, col) == []
+
+
+def test_search_budget_bounds_backtracking():
+    fano = [(0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6), (2, 4, 5)]
+    # each color tried at a decision costs one unit: 22 to refute Fano at k=2
+    assert solve_constraints(7, fano, 2, caps=Caps(search_budget=22)) is None
+    with pytest.raises(CapacityError, match="backtracking search budget exceeded: 21"):
+        solve_constraints(7, fano, 2, caps=Caps(search_budget=21))
+    assert solve_constraints(7, fano, 3, caps=Caps(search_budget=6)) is not None
+    with pytest.raises(CapacityError):
+        solve_constraints(7, fano, 3, caps=Caps(search_budget=5))
+    # forced colors are free: a 2-colored triangle costs the two colors of its first vertex
+    triangle = [(0, 0, 1), (1, 1, 2), (0, 0, 2)]
+    assert solve_constraints(3, triangle, 2, caps=Caps(search_budget=2)) is None
+    with pytest.raises(CapacityError):
+        solve_constraints(3, triangle, 2, caps=Caps(search_budget=1))
+    h = exp_closure({2, 3}, 3)  # 522 vertices, 4,316 edges: no end in sight at k=3
+    with pytest.raises(CapacityError, match="budget"):
+        solve_colorability(h, 3, caps=Caps(search_budget=1000))
+    # the exhaustive method keeps its own fixed ceiling
+    assert solve_constraints(7, fano, 3, "exhaustive", Caps(search_budget=1)) is not None
 
 
 def test_solver_agreement_three_colors():
