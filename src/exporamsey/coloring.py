@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .config import Caps, DEFAULT_CAPS
-from .errors import CapacityError, DomainError
+from .errors import CapacityError, DomainError, RuleEvaluationError
 from .rules import ColorRule, parse_rule  # re-exported as part of this surface
 from .triples import TripleHypergraph, check_triple_bound, iter_int_triples
 from .tower import _record_int, vertex_label
@@ -306,33 +306,34 @@ def count_mono_triples_at(
     """`count_mono_triples` at each bound, in the order given, from one pass.
 
     Every bound is checked first.  Bounds may repeat and come in any order:
-    one pass over the triples up to the largest, with one color cache, takes
-    a snapshot of the counts as c passes each bound.
+    one pass over the triples up to the largest takes a snapshot of the
+    counts as c passes each bound.  Each triple colours a, then b, and c
+    only when a and b match; no colour is cached.  Rules are pure, so when
+    an evaluation fails the current triple is coloured again, in the same
+    order, through `ColorRule.color`, whose error names the failing n.
     """
     for n in bounds:
         check_triple_bound(n, caps)
     stops = sorted(set(bounds))
-    cache: dict[int, int] = {}
-
-    def color(v: int) -> int:
-        got = cache.get(v)
-        if got is None:
-            got = cache[v] = rule.color(v)
-        return got
-
-    per_cell = [0] * rule.k
+    evaluate, k = rule.evaluate, rule.k
+    per_cell = [0] * k
     rainbow = 0
     snapshots = {}  # bound -> (per-cell counts, rainbow count) over the triples with c <= bound
     i = 0
-    for a, b, c in iter_int_triples(max(bounds, default=0)):
-        while c > stops[i]:
-            snapshots[stops[i]] = (tuple(per_cell), rainbow)
-            i += 1
-        ca = color(a)
-        if ca == color(b) == color(c):
-            per_cell[ca] += 1
-        else:
-            rainbow += 1
+    try:
+        for a, b, c in iter_int_triples(max(bounds, default=0)):
+            while c > stops[i]:
+                snapshots[stops[i]] = (tuple(per_cell), rainbow)
+                i += 1
+            ca = evaluate(a) % k
+            if ca == evaluate(b) % k == evaluate(c) % k:
+                per_cell[ca] += 1
+            else:
+                rainbow += 1
+    except RuleEvaluationError:
+        for v in (a, b, c):
+            rule.color(v)
+        raise
     for n in stops[i:]:
         snapshots[n] = (tuple(per_cell), rainbow)
     out = []

@@ -17,23 +17,35 @@ Everything is an integer.  Comparisons and boolean operators yield 0/1 and
 treat any non-zero value as true; "/" and "%" truncate toward zero; ilog2(x)
 is floor(log2 x) for x >= 1; if(c, x, y) evaluates lazily.  A rule's color
 is the expression value reduced into [0, k) by mathematical modulus.
+
+A rule compiles once, through Python's `ast` module, into one function of
+n; no source text is generated or `eval`ed.  Parentheses, function
+arguments and unary operators may nest, and the parsed tree may grow (also
+through chains of binary operators), at most _MAX_RULE_DEPTH levels deep;
+a deeper rule is a RuleSyntaxError at the token that passes the limit.
 """
 
 from __future__ import annotations
 
-import operator
+import ast
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable
 
 from .errors import DomainError, RuleEvaluationError, RuleSyntaxError
 
 _KEYWORDS = {"n", "and", "or", "not", "if", "ilog2", "ipow"}
-_CMP_OPS = {"==": operator.eq, "!=": operator.ne, "<=": operator.le,
-            ">=": operator.ge, "<": operator.lt, ">": operator.gt}
+_CMP_OPS = {"==": ast.Eq, "!=": ast.NotEq, "<=": ast.LtE, ">=": ast.GtE,
+            "<": ast.Lt, ">": ast.Gt}
+_ARITY = {"ilog2": 1, "ipow": 2, "if": 3}
 
 # Guards against runaway ipow blowup; violations surface per-input.
 _IPOW_EXP_LIMIT = 1 << 20
 _IPOW_RESULT_BITS = 1 << 21
+# The nesting and tree height a rule may reach.  The parser takes up to 8
+# Python frames per nesting level, so a rule at the limit leaves callers
+# about 190 frames of the default recursion limit (1000).
+_MAX_RULE_DEPTH = 100
 
 
 def _tokenize(source: str) -> list[tuple[str, str, int]]:
@@ -78,9 +90,18 @@ def _tokenize(source: str) -> list[tuple[str, str, int]]:
 
 
 class _Parser:
+    """Recursive descent; each method returns (node, height of the node's tree).
+
+    A leaf has height 0.  `nesting` counts the parentheses, function
+    arguments and unary operators open around the current token.  Both stay
+    within _MAX_RULE_DEPTH, which bounds the recursion of this parser, of
+    `_compile` and of Python's compiler.
+    """
+
     def __init__(self, source: str):
         self.tokens = _tokenize(source)
         self.pos = 0
+        self.nesting = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -96,93 +117,113 @@ class _Parser:
             raise RuleSyntaxError(f"expected {text!r}", at)
         return self.take()
 
+    def enter(self, at: int) -> None:
+        """Open one nesting level at the token at offset `at`."""
+        self.nesting += 1
+        if self.nesting > _MAX_RULE_DEPTH:
+            raise RuleSyntaxError(f"rule nests deeper than {_MAX_RULE_DEPTH} levels", at)
+
+    @staticmethod
+    def above(at: int, *heights: int) -> int:
+        """Height of a node, made at offset `at`, over subtrees of these heights."""
+        h = max(heights) + 1
+        if h > _MAX_RULE_DEPTH:
+            raise RuleSyntaxError(f"rule nests deeper than {_MAX_RULE_DEPTH} levels", at)
+        return h
+
     def parse(self):
-        node = self.expr()
+        node, _ = self.expr()
         kind, val, at = self.peek()
         if kind != "eof":
             raise RuleSyntaxError(f"unexpected token {val!r}", at)
         return node
 
     def expr(self):
-        node = self.and_expr()
+        node, h = self.and_expr()
         while self.peek()[1] == "or":
-            self.take()
-            node = ("or", node, self.and_expr())
-        return node
+            at = self.take()[2]
+            rhs, rh = self.and_expr()
+            node, h = ("bool", "or", node, rhs), self.above(at, h, rh)
+        return node, h
 
     def and_expr(self):
-        node = self.unary()
+        node, h = self.unary()
         while self.peek()[1] == "and":
-            self.take()
-            node = ("and", node, self.unary())
-        return node
+            at = self.take()[2]
+            rhs, rh = self.unary()
+            node, h = ("bool", "and", node, rhs), self.above(at, h, rh)
+        return node, h
 
     def unary(self):
-        if self.peek()[1] == "not":
+        _, val, at = self.peek()
+        if val == "not":
             self.take()
-            return ("not", self.unary())
+            self.enter(at)
+            x, h = self.unary()
+            self.nesting -= 1
+            return ("not", x), self.above(at, h)
         return self.cmp()
 
     def cmp(self):
-        node = self.add()
-        kind, val, _ = self.peek()
+        node, h = self.add()
+        kind, val, at = self.peek()
         if kind == "op" and val in _CMP_OPS:
             self.take()
-            return ("cmp", val, node, self.add())
-        return node
+            rhs, rh = self.add()
+            return ("cmp", val, node, rhs), self.above(at, h, rh)
+        return node, h
 
     def add(self):
-        node = self.mul()
+        node, h = self.mul()
         while self.peek()[0] == "op" and self.peek()[1] in "+-":
-            op = self.take()[1]
-            node = ("bin", op, node, self.mul())
-        return node
+            _, op, at = self.take()
+            rhs, rh = self.mul()
+            node, h = ("bin", op, node, rhs), self.above(at, h, rh)
+        return node, h
 
     def mul(self):
-        node = self.factor()
+        node, h = self.factor()
         while self.peek()[0] == "op" and self.peek()[1] in "*/%":
-            op = self.take()[1]
-            node = ("bin", op, node, self.factor())
-        return node
+            _, op, at = self.take()
+            rhs, rh = self.factor()
+            node, h = ("bin", op, node, rhs), self.above(at, h, rh)
+        return node, h
 
     def factor(self):
-        kind, val, _ = self.peek()
+        kind, val, at = self.peek()
         if kind == "op" and val == "-":
             self.take()
-            return ("neg", self.factor())
+            self.enter(at)
+            x, h = self.factor()
+            self.nesting -= 1
+            return ("neg", x), self.above(at, h)
         return self.atom()
 
     def atom(self):
         kind, val, at = self.take()
         if kind == "int":
-            return ("int", int(val))
+            return ("int", int(val)), 0
         if val == "n":
-            return ("var",)
+            return ("var",), 0
         if val == "(":
+            self.enter(at)
             node = self.expr()
             self.expect(")")
+            self.nesting -= 1
             return node
-        if val == "ilog2":
+        if val in _ARITY:  # ilog2(x), ipow(a, b), if(c, x, y)
             self.expect("(")
-            arg = self.expr()
+            self.enter(at)
+            args, heights = [], []
+            for i in range(_ARITY[val]):
+                if i:
+                    self.expect(",")
+                arg, h = self.expr()
+                args.append(arg)
+                heights.append(h)
             self.expect(")")
-            return ("ilog2", arg)
-        if val == "ipow":
-            self.expect("(")
-            a = self.expr()
-            self.expect(",")
-            b = self.expr()
-            self.expect(")")
-            return ("ipow", a, b)
-        if val == "if":
-            self.expect("(")
-            c = self.expr()
-            self.expect(",")
-            t = self.expr()
-            self.expect(",")
-            f = self.expr()
-            self.expect(")")
-            return ("if", c, t, f)
+            self.nesting -= 1
+            return (val, *args), self.above(at, *heights)
         raise RuleSyntaxError("expected an operand", at)
 
 
@@ -214,61 +255,93 @@ def _ipow(a: int, b: int) -> int:
     return a ** b
 
 
-_BIN_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
-            "/": _trunc_div, "%": _trunc_mod}
+_ARITH_OPS = {"+": ast.Add, "-": ast.Sub, "*": ast.Mult}
+_FLOOR_OPS = {"/": ast.FloorDiv, "%": ast.Mod}
+_HELPERS = {"/": _trunc_div, "%": _trunc_mod, "ilog2": _ilog2, "ipow": _ipow}
+# a compiled rule's globals: the helpers by their own names, and no builtins
+_GLOBALS = {"__builtins__": {}, **{f.__name__: f for f in _HELPERS.values()}}
 
 
-def _compile(node: tuple) -> Callable[[int], int]:
-    """The function n -> value of an AST node, as nested closures.
+def _compile(parsed: tuple) -> Callable[[int], int]:
+    """The function n -> value of a parsed rule, as one compiled `lambda n: ...`.
 
-    Built once per rule, so evaluating it does no per-node dispatch.  `and`,
-    `or` and `if` call their later operands only when they need them.  A
-    constant right operand is bound into its parent's closure, which spares
-    a call per evaluation in rules such as `n % 2`.
+    The lambda is assembled from `ast` nodes and passed to `compile()`; no
+    source text is generated, `eval` only runs the compiled code to make the
+    function, and the tree holds only constants, `n`, walrus temporaries and
+    helper names.  Evaluating it makes no Python call per rule node.
+    Comparisons, `not`, `and` and `or` yield 0/1, and `and`, `or` and `if`
+    evaluate lazily.  `/` and `%` by a positive constant are floor division
+    on |v|; every other `/` and `%`, and `ilog2` and `ipow`, call the
+    helpers above, which raise the evaluation errors.  The parser keeps the
+    tree within _MAX_RULE_DEPTH levels, so neither this recursion nor
+    Python's compiler runs out of stack.
     """
-    op = node[0]
-    if op == "int":
-        value = node[1]
-        return lambda n: value
-    if op == "var":
-        return lambda n: n
-    if op == "neg":
-        x = _compile(node[1])
-        return lambda n: -x(n)
-    if op == "not":
-        x = _compile(node[1])
-        return lambda n: 0 if x(n) else 1
-    if op == "ilog2":
-        x = _compile(node[1])
-        return lambda n: _ilog2(x(n))
-    if op == "if":
-        c, t, f = map(_compile, node[1:])
-        return lambda n: t(n) if c(n) else f(n)
-    if op in ("and", "or"):
-        x, y = _compile(node[1]), _compile(node[2])
-        if op == "and":
-            return lambda n: 1 if x(n) and y(n) else 0
-        return lambda n: 1 if x(n) or y(n) else 0
-    if op == "ipow":
-        fn, left, right = _ipow, node[1], node[2]
-    else:  # "cmp" or "bin"
-        fn = _CMP_OPS[node[1]] if op == "cmp" else _BIN_OPS[node[1]]
-        left, right = node[2], node[3]
-    x = _compile(left)
-    if right[0] == "int":
-        c = right[1]
+    temps = itertools.count()
+
+    def node(cls, *fields) -> ast.AST:
+        """An `ast` node of type cls, placed at the start of line 1."""
+        return cls(*fields, lineno=1, col_offset=0)
+
+    def const(c: int) -> ast.expr:
+        return node(ast.Constant, c)
+
+    def name(ident: str, ctx=ast.Load) -> ast.expr:
+        return node(ast.Name, ident, ctx())
+
+    def call(op: str, *args: tuple) -> ast.expr:
+        return node(ast.Call, name(_HELPERS[op].__name__), [value(a) for a in args], [])
+
+    def truth(tree: tuple) -> ast.expr:
+        """An expression that is true exactly when the tree's value is non-zero."""
+        op = tree[0]
         if op == "cmp":
-            return lambda n: 1 if fn(x(n), c) else 0
-        # by a positive constant, truncation is floor division on |v|
-        if fn is _trunc_mod and c > 0:
-            return lambda n: v % c if (v := x(n)) >= 0 else -(-v % c)
-        if fn is _trunc_div and c > 0:
-            return lambda n: v // c if (v := x(n)) >= 0 else -(-v // c)
-        return lambda n: fn(x(n), c)
-    y = _compile(right)
-    if op == "cmp":
-        return lambda n: 1 if fn(x(n), y(n)) else 0
-    return lambda n: fn(x(n), y(n))
+            return node(ast.Compare, value(tree[2]), [_CMP_OPS[tree[1]]()], [value(tree[3])])
+        if op == "not":
+            return node(ast.UnaryOp, ast.Not(), truth(tree[1]))
+        if op == "bool":
+            bool_op = ast.And() if tree[1] == "and" else ast.Or()
+            return node(ast.BoolOp, bool_op, [truth(tree[2]), truth(tree[3])])
+        return value(tree)
+
+    def value(tree: tuple) -> ast.expr:
+        op = tree[0]
+        if op in ("cmp", "not", "bool"):
+            return node(ast.IfExp, truth(tree), const(1), const(0))
+        if op == "int":
+            return const(tree[1])
+        if op == "var":
+            return name("n")
+        if op == "neg":
+            return node(ast.UnaryOp, ast.USub(), value(tree[1]))
+        if op == "if":
+            return node(ast.IfExp, truth(tree[1]), value(tree[2]), value(tree[3]))
+        if op != "bin":  # ilog2, ipow
+            return call(op, *tree[1:])
+        _, sym, left, right = tree
+        if sym in _ARITH_OPS:
+            return node(ast.BinOp, value(left), _ARITH_OPS[sym](), value(right))
+        if right[0] != "int" or right[1] <= 0:
+            return call(sym, left, right)
+        # by a positive constant c, truncation is floor division on |v|:
+        # v // c if (v := left) >= 0 else -(-v // c), where n needs no temporary
+        if left[0] == "var":
+            v, first = "n", name("n")
+        else:
+            v = f"_t{next(temps)}"
+            first = node(ast.NamedExpr, name(v, ast.Store), value(left))
+        c, floor = right[1], _FLOOR_OPS[sym]
+        negated = node(ast.UnaryOp, ast.USub(), name(v))
+        return node(
+            ast.IfExp,
+            node(ast.Compare, first, [ast.GtE()], [const(0)]),
+            node(ast.BinOp, name(v), floor(), const(c)),
+            node(ast.UnaryOp, ast.USub(), node(ast.BinOp, negated, floor(), const(c))),
+        )
+
+    args = ast.arguments(posonlyargs=[], args=[node(ast.arg, "n")], kwonlyargs=[],
+                         kw_defaults=[], defaults=[])
+    lam = ast.Expression(node(ast.Lambda, args, value(parsed)))
+    return eval(compile(lam, "<rule>", "eval"), _GLOBALS)
 
 
 @dataclass(frozen=True)

@@ -236,3 +236,75 @@ def power_progressions_oracle(members, length):
         if h >= 2 and all(h ** i in members for i in range(1, length + 1)):
             out.append(h)
     return out
+
+
+class RuleOracleError(Exception):
+    """A rule oracle evaluation error; `kind` names which one."""
+
+    def __init__(self, kind):
+        super().__init__(kind)
+        self.kind = kind
+
+
+def _truncated_quotient(x, y):
+    """x / y rounded toward zero, from the flooring quotient."""
+    if y == 0:
+        raise RuleOracleError("division by zero")
+    q = x // y
+    return q + 1 if q < 0 and q * y != x else q
+
+
+_RULE_ORACLE_OPS = {
+    "+": lambda x, y: x + y,
+    "-": lambda x, y: x - y,
+    "*": lambda x, y: x * y,
+    "/": _truncated_quotient,
+    "%": lambda x, y: x - y * _truncated_quotient(x, y),
+    "==": lambda x, y: int(x == y),
+    "!=": lambda x, y: int(x != y),
+    "<": lambda x, y: int(x < y),
+    "<=": lambda x, y: int(x <= y),
+    ">": lambda x, y: int(x > y),
+    ">=": lambda x, y: int(x >= y),
+}
+
+
+def rule_oracle(tree, n):
+    """Value at n of a colouring-rule tree, by direct recursion on tuples.
+
+    Trees are ("n",), ("const", c), (op, x) for op in neg/not/ilog2,
+    (op, x, y) for the binary operators, "and", "or" and "ipow", and
+    ("if", c, x, y).  Operands go left to right; "and", "or" and "if" skip
+    what they do not need.  Errors raise RuleOracleError with kind
+    "division by zero", "ilog2", "ipow exponent" or "ipow size": ipow(a, b)
+    refuses b > 2**20 and bitlen(a) * max(b, 1) > 2**21.
+    """
+    op, args = tree[0], tree[1:]
+    if op == "n":
+        return n
+    if op == "const":
+        return args[0]
+    if op == "if":
+        return rule_oracle(args[1] if rule_oracle(args[0], n) != 0 else args[2], n)
+    if op in ("and", "or"):
+        first = rule_oracle(args[0], n) != 0
+        if first == (op == "or"):  # decided by the left operand
+            return int(first)
+        return int(rule_oracle(args[1], n) != 0)
+    vals = [rule_oracle(t, n) for t in args]
+    if op == "neg":
+        return -vals[0]
+    if op == "not":
+        return int(vals[0] == 0)
+    if op == "ilog2":
+        if vals[0] < 1:
+            raise RuleOracleError("ilog2")
+        return len(bin(vals[0])) - 3
+    x, y = vals
+    if op == "ipow":
+        if y < 0:
+            raise RuleOracleError("ipow exponent")
+        if y > 2 ** 20 or len(bin(abs(x))[2:].lstrip("0")) * max(y, 1) > 2 ** 21:
+            raise RuleOracleError("ipow size")
+        return x ** y
+    return _RULE_ORACLE_OPS[op](x, y)

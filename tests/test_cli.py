@@ -333,6 +333,16 @@ def test_exit_codes():
         assert (code, out) == (1, "")
 
 
+def test_deep_rule_is_a_domain_error(capsys):
+    deep = "(" * 300 + "n" + ")" * 300
+    message = "error: syntax error at position 100: rule nests deeper than 100 levels\n"
+    code, out = run_cli("color", "rule-count", "--rule", deep, "--k", "2", "--max", "100")
+    assert (code, out, capsys.readouterr().err) == (1, "", message)
+    code, out = run_cli("ip", "find-seed", "--kind", "additive", "--m", "2",
+                        "--lo", "1", "--hi", "7", "--spec", "rule:" + deep)
+    assert (code, out, capsys.readouterr().err) == (1, "", message)
+
+
 def test_parser_state_does_not_leak_between_calls():
     base = ("closure", "--seeds", "2", "--depth", "2")
     code, first = run_cli(*base)

@@ -10,6 +10,7 @@ from exporamsey import (
     Caps,
     Coloring,
     DomainError,
+    RuleEvaluationError,
     check_coloring,
     count_mono_triples,
     enumerate_triples,
@@ -310,10 +311,56 @@ def test_count_mono_monotone_in_bound():
 
 def test_count_mono_error_names_input():
     rule = parse_rule("1 / (n - 9)", 2)
-    from exporamsey import RuleEvaluationError
-
     with pytest.raises(RuleEvaluationError, match="n=9"):
         count_mono_triples(rule, 30)
+
+
+def first_failure(colour, triples):
+    """The value a counting pass fails at, or None; `colour(v)` is None where the rule fails.
+
+    Triples go in (c, a, b) order.  Each colours a, then b, and c only when
+    the colours of a and b match.
+    """
+    for a, b, c in sorted(triples, key=lambda t: (t[2], t[0], t[1])):
+        ca, cb = colour(a), colour(b)
+        if ca is None:
+            return a
+        if cb is None:
+            return b
+        if ca == cb and colour(c) is None:
+            return c
+    return None
+
+
+def test_count_mono_error_names_first_failing_value():
+    triples = triples_oracle(10 ** 5)
+    for t in range(2, 301):
+        cases = {
+            # 1 / (n - t) truncates to 0 unless n - t is 1 or -1
+            f"1 / (n - {t})": lambda v: None if v == t else int(abs(v - t) == 1),
+            f"ilog2(n - {t})": lambda v: None if v <= t else (v - t).bit_length() % 2 ^ 1,
+        }
+        for source, colour in cases.items():
+            n = first_failure(colour, triples)
+            with pytest.raises(RuleEvaluationError, match=f"at n={n}:"):
+                count_mono_triples_at(parse_rule(source, 2), [10 ** 5])
+    # (2, 3, 8) colours 2 and 3 apart, so 8 is first coloured as the a of (8, 2, 64)
+    rule = parse_rule("if(n == 8, 1 / 0, n % 2)", 2)
+    assert first_failure(lambda v: None if v == 8 else v % 2, triples) == 8
+    assert count_mono_triples_at(rule, [63])[0].triple_count == len(triples_oracle(63))
+    with pytest.raises(RuleEvaluationError, match="at n=8:"):
+        count_mono_triples_at(rule, [64])
+
+
+def test_count_mono_checks_bounds_before_colouring():
+    rule = parse_rule("1 / 0", 2)
+    with pytest.raises(DomainError, match="got -5"):
+        count_mono_triples_at(rule, [16, -5])
+    with pytest.raises(CapacityError):
+        count_mono_triples_at(rule, [16, 10 ** 20])
+    assert count_mono_triples_at(rule, [3])[0].triple_count == 0  # no triple, no colour
+    with pytest.raises(RuleEvaluationError, match="at n=2:"):
+        count_mono_triples_at(rule, [4])
 
 
 def test_coloring_record_roundtrip():

@@ -3,6 +3,7 @@
 import pytest
 
 from exporamsey import DomainError, RuleEvaluationError, RuleSyntaxError, parse_rule
+from exporamsey.rules import _MAX_RULE_DEPTH as DEPTH
 
 
 def color(src, n, k=2):
@@ -101,3 +102,59 @@ def test_k_validation():
     with pytest.raises(DomainError):
         parse_rule("n", 0)
     parse_rule("0", 1)  # single cell is allowed for counting
+
+
+def _left_nested(levels, tail):
+    """levels parenthesised `+ n` around n, then `tail`: height levels + tail's chain."""
+    return "(" * levels + "n" + "+ n)" * levels + tail
+
+
+# rule source -> offset of the first token past the depth limit
+_TOO_DEEP = {
+    "(" * 300 + "n" + ")" * 300: DEPTH,
+    "(" * 300 + "n" + " + n)" * 300: DEPTH,
+    "(n + " * 300 + "n" + ")" * 300: 5 * DEPTH,
+    "+".join(["n"] * 1000): 2 * DEPTH + 1,
+    "n" + " / 2" * 300: 4 * DEPTH + 2,
+    _left_nested(DEPTH - 1, " + n + n"): len(_left_nested(DEPTH - 1, " + n ")),
+    "-" * 10000 + "n": DEPTH,
+    "not " * 10000 + "n": 4 * DEPTH,
+    "ilog2(" * 300 + "n" + ")" * 300: 6 * DEPTH,
+    "ipow(n, " * 300 + "n" + ")" * 300: 8 * DEPTH,
+    "if(n, n, " * 300 + "n" + ")" * 300: 9 * DEPTH,
+    "n < " + "(n == " * 300 + "n" + ")" * 300: 4 + 6 * DEPTH,
+}
+
+
+@pytest.mark.parametrize("source", _TOO_DEEP, ids=range(len(_TOO_DEEP)))
+def test_deep_rules_refused_at_the_offending_token(source):
+    with pytest.raises(RuleSyntaxError, match=f"nests deeper than {DEPTH} levels") as err:
+        parse_rule(source, 2)
+    assert err.value.position == _TOO_DEEP[source]
+
+
+def _call_from_depth(frames, fn):
+    return _call_from_depth(frames - 1, fn) if frames else fn()
+
+
+def test_rules_at_the_depth_limit_evaluate():
+    # each at the limit by one measure: nesting of parentheses, arguments or
+    # unary operators, or height of the tree
+    cases = {
+        "(" * DEPTH + "n" + ")" * DEPTH: 7,
+        "(" * (DEPTH - 1) + "n" + " % 9)" * (DEPTH - 1): 7,
+        "+".join(["n"] * (DEPTH + 1)): 7 * (DEPTH + 1),
+        "n" + " / 1" * DEPTH: 7,
+        _left_nested(DEPTH - 1, " + n"): 7 * (DEPTH + 1),
+        "-" * DEPTH + "n": 7 * (-1) ** DEPTH,
+        "not " * DEPTH + "n": 1 - DEPTH % 2,
+        "if(n, " * DEPTH + "n" + ", 0)" * DEPTH: 7,
+        "ipow(" * DEPTH + "n" + ", 1)" * DEPTH: 7,
+        # side by side, parentheses, arguments and unary operators do not nest
+        "+".join(["(n)"] * (DEPTH + 1)): 7 * (DEPTH + 1),
+        "+".join(["if(ilog2(n), -(-n), not not n)"] * 51): 7 * 51,
+    }
+    for source, value in cases.items():
+        # a caller 100 frames deep still leaves the parser room
+        rule = _call_from_depth(100, lambda: parse_rule(source, 1000))
+        assert rule.color(7) == value % 1000, source

@@ -1,8 +1,13 @@
-"""Compiled rules against hand-written Python equivalents."""
+"""Compiled rules against hand-written Python equivalents and an independent evaluator."""
+
+import random
+import re
 
 import pytest
 
 from exporamsey import RuleEvaluationError, parse_rule
+
+from oracles import RuleOracleError, rule_oracle
 
 
 def tdiv(a, b):
@@ -73,3 +78,61 @@ def test_and_or_short_circuit():
     assert parse_rule("n > 3 and 1 / (n - 3)", 2).color(4) == 1
     with pytest.raises(RuleEvaluationError, match="n=3"):
         parse_rule("n < 3 or 1 / (n - 3)", 2).color(3)
+
+
+_ARITY = {"neg": 1, "not": 1, "ilog2": 1, "ipow": 2, "if": 3, "and": 2, "or": 2,
+          **dict.fromkeys(["+", "-", "*", "/", "%", "==", "!=", "<", "<=", ">", ">="], 2)}
+_CONSTANTS = (0, 1, 2, 3, 7, 64, 1 << 21, -1, -2, -7)
+
+
+def random_tree(rng, depth):
+    """A random rule tree in the tuple form of `oracles.rule_oracle`."""
+    if depth == 0 or rng.random() < 0.2:
+        return ("n",) if rng.random() < 0.5 else ("const", rng.choice(_CONSTANTS))
+    op = rng.choice(sorted(_ARITY))
+    args = [random_tree(rng, depth - 1) for _ in range(_ARITY[op])]
+    if op in ("/", "%") and rng.random() < 0.5:
+        args[1] = ("const", rng.choice(_CONSTANTS))  # the constant-divisor path
+    return (op, *args)
+
+
+def render(tree):
+    """Rule source for a tree, every compound operand in parentheses."""
+    op = tree[0]
+    if op == "n":
+        return "n"
+    if op == "const":
+        return str(tree[1]) if tree[1] >= 0 else f"(-{-tree[1]})"
+    args = [render(t) for t in tree[1:]]
+    if op == "neg":
+        return f"(-{args[0]})"
+    if op == "not":
+        return f"(not {args[0]})"
+    if op in ("ilog2", "ipow", "if"):
+        return f"{op}({', '.join(args)})"
+    return f"({args[0]} {op} {args[1]})"
+
+
+_ERROR_KINDS = {"division by zero": "division by zero", "ilog2 of non-positive": "ilog2",
+                "ipow with negative exponent": "ipow exponent", "result too large": "ipow size"}
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_compiled_rules_match_oracle(seed):
+    rng = random.Random(f"rule-trees-{seed}")
+    for _ in range(60):
+        tree, k = random_tree(rng, rng.randrange(1, 7)), rng.randrange(1, 6)
+        source = render(tree)
+        rule = parse_rule(source, k)
+        for n in range(-50, 201):
+            try:
+                expected = rule_oracle(tree, n) % k
+            except RuleOracleError as exc:
+                with pytest.raises(RuleEvaluationError) as err:
+                    rule.color(n)
+                message = re.fullmatch(f"rule evaluation failed at n={n}: (.*)", str(err.value))
+                assert message, (source, n, str(err.value))
+                kinds = [kind for text, kind in _ERROR_KINDS.items() if text in message[1]]
+                assert kinds == [exc.kind], (source, n, str(err.value))
+            else:
+                assert rule.color(n) == expected, (source, n)
