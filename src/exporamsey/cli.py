@@ -26,6 +26,7 @@ from dataclasses import fields, replace
 from . import coloring as col_mod
 from . import greedy as greedy_mod
 from . import ipsets as ip_mod
+from . import jsonout
 from . import structures as struct_mod
 from . import triples as tri_mod
 from .config import DEFAULT_CAPS, Caps, RunConfig
@@ -63,8 +64,7 @@ def _int_list(text: str) -> list[int]:
 
 
 def _dump(obj, stream) -> None:
-    json.dump(obj, stream, indent=2)
-    stream.write("\n")
+    stream.write(jsonout.dumps(obj))
 
 
 def build_parser() -> _Parser:

@@ -201,25 +201,41 @@ def solve_constraints(
     caps: Caps = DEFAULT_CAPS,
 ) -> list[int] | None:
     """SAT witness (list of colors) or None for UNSAT, on raw index triples."""
-    if k < 2:
-        raise DomainError(f"k must be >= 2, got {k}")
+    _check_k(k)
     if num_vertices < 0:
         raise DomainError("vertex count must be >= 0")
     for e in edges:
         if any(v < 0 or v >= num_vertices for v in e):
             raise DomainError(f"edge {e} out of range")
+    return _solve(num_vertices, edges, k, method, caps)
+
+
+def _check_k(k: int) -> None:
+    if k < 2:
+        raise DomainError(f"k must be >= 2, got {k}")
+
+
+def _solve(
+    n: int, edges: Sequence[tuple[int, int, int]], k: int, method: str, caps: Caps
+) -> list[int] | None:
+    """The named solver on edges already known to lie in range(n)."""
     if method == "backtracking":
-        return _solve_backtracking(num_vertices, edges, k, caps.search_budget)
+        return _solve_backtracking(n, edges, k, caps.search_budget)
     if method == "exhaustive":
-        return _solve_exhaustive(num_vertices, edges, k)
+        return _solve_exhaustive(n, edges, k)
     raise DomainError(f"unknown method {method!r}")
 
 
 def solve_colorability(
     h: TripleHypergraph, k: int, method: str = "backtracking", caps: Caps = DEFAULT_CAPS
 ) -> Coloring | None:
-    """Proper k-coloring of h (no monochromatic edge) or None if none exists."""
-    witness = solve_constraints(len(h.vertices), h.edges, k, method, caps)
+    """Proper k-coloring of h (no monochromatic edge) or None if none exists.
+
+    A hypergraph's edges are in range by construction (`exp_closure`,
+    `sub_hypergraph`) or by the check in `hypergraph_from_record`.
+    """
+    _check_k(k)
+    witness = _solve(len(h.vertices), h.edges, k, method, caps)
     if witness is None:
         return None
     col = Coloring(k=k, colors=tuple(witness))
@@ -237,35 +253,34 @@ def export_dimacs(h: TripleHypergraph, k: int, caps: Caps = DEFAULT_CAPS) -> str
     at-most-one clauses per vertex, and per edge and color one all-different
     clause.  Comment lines record the vertex/variable map.
     """
-    if k < 2:
-        raise DomainError(f"k must be >= 2, got {k}")
+    _check_k(k)
     nv = len(h.vertices)
-    lines = []
-    clauses = []
+    labels = [vertex_label(v, caps) for v in h.vertices]
+    lit = [str(x) for x in range(nv * k + 1)]  # lit[x] is variable x's text
+    cons = [sorted({a, b, c}) for a, b, c in h.edges]
     if k == 2:
-        for i, v in enumerate(h.vertices):
-            lines.append(f"c v {i} {vertex_label(v, caps)} var {i + 1}")
-        for e in h.edges:
-            vs = sorted(set(e))
-            clauses.append(" ".join(str(v + 1) for v in vs) + " 0")
-            clauses.append(" ".join(str(-(v + 1)) for v in vs) + " 0")
+        lines = [f"c v {i} {label} var {i + 1}" for i, label in enumerate(labels)]
+        clauses = []
+        for vs in cons:
+            pos = " ".join([lit[v + 1] for v in vs])
+            clauses += (pos + " 0", "-" + pos.replace(" ", " -") + " 0")
         lines.append(f"p cnf {nv} {len(clauses)}")
     else:
-        for i, v in enumerate(h.vertices):
-            first = i * k + 1
-            lines.append(f"c v {i} {vertex_label(v, caps)} vars {first}..{first + k - 1}")
-        for i in range(nv):
-            base = i * k + 1
-            clauses.append(" ".join(str(base + c) for c in range(k)) + " 0")
-            for c1 in range(k):
-                for c2 in range(c1 + 1, k):
-                    clauses.append(f"-{base + c1} -{base + c2} 0")
-        for e in h.edges:
-            vs = sorted(set(e))
-            for c in range(k):
-                clauses.append(" ".join(str(-(v * k + c + 1)) for v in vs) + " 0")
+        lines = [f"c v {i} {label} vars {i * k + 1}..{i * k + k}"
+                 for i, label in enumerate(labels)]
+        pairs = [(c1, c2) for c1 in range(1, k + 1) for c2 in range(c1 + 1, k + 1)]
+        clauses = []
+        for base in range(0, nv * k, k):
+            clauses.append(" ".join(lit[base + 1 : base + k + 1]) + " 0")
+            clauses += [f"-{base + c1} -{base + c2} 0" for c1, c2 in pairs]
+        for vs in cons:
+            # each vertex's k variables, transposed to one row per color
+            rows = zip(*[lit[v * k + 1 : v * k + k + 1] for v in vs])
+            clauses += ["-" + " -".join(row) + " 0" for row in rows]
         lines.append(f"p cnf {nv * k} {len(clauses)}")
-    return "\n".join(lines + clauses) + "\n"
+    lines += clauses
+    lines.append("")
+    return "\n".join(lines)
 
 
 def decode_true_vars(h: TripleHypergraph, k: int, true_vars: Iterable[int]) -> Coloring:
@@ -308,25 +323,30 @@ def count_mono_triples_at(
     Every bound is checked first.  Bounds may repeat and come in any order:
     one pass over the triples up to the largest takes a snapshot of the
     counts as c passes each bound.  Each triple colours a, then b, and c
-    only when a and b match; no colour is cached.  Rules are pure, so when
-    an evaluation fails the current triple is coloured again, in the same
+    only when a and b match.  Only colour(2) is cached: it is the b of every
+    square (a, 2, a**2), and it is taken once, before the first triple
+    (2, 2, 4), only when that triple is counted.  Rules are pure, so when an
+    evaluation fails the current triple is coloured again, in the same
     order, through `ColorRule.color`, whose error names the failing n.
     """
     for n in bounds:
         check_triple_bound(n, caps)
     stops = sorted(set(bounds))
+    top = max(bounds, default=0)
     evaluate, k = rule.evaluate, rule.k
     per_cell = [0] * k
     rainbow = 0
     snapshots = {}  # bound -> (per-cell counts, rainbow count) over the triples with c <= bound
     i = 0
+    a, b, c = 2, 2, 4  # the first triple, which colour(2) belongs to
     try:
-        for a, b, c in iter_int_triples(max(bounds, default=0)):
+        color2 = evaluate(2) % k if top >= 4 else None
+        for a, b, c in iter_int_triples(top):
             while c > stops[i]:
                 snapshots[stops[i]] = (tuple(per_cell), rainbow)
                 i += 1
             ca = evaluate(a) % k
-            if ca == evaluate(b) % k == evaluate(c) % k:
+            if ca == (color2 if b == 2 else evaluate(b) % k) == evaluate(c) % k:
                 per_cell[ca] += 1
             else:
                 rainbow += 1

@@ -209,11 +209,15 @@ def _value_bits_bounds(a: PowerForm) -> tuple[int, int]:
 
 def try_evaluate(a: PowerForm, caps: Caps = DEFAULT_CAPS) -> int | None:
     """The explicit value of a, or None if it exceeds value_bit_cap."""
-    lo, hi = _value_bits_bounds(a)
-    if lo > caps.value_bit_cap:
+    return _try_value(a.root, a.exponent, caps.value_bit_cap)
+
+
+def _try_value(root: int, exponent: int, bit_cap: int) -> int | None:
+    """root**exponent, or None if it has more than bit_cap bits."""
+    if exponent * (root.bit_length() - 1) + 1 > bit_cap:  # its fewest possible bits
         return None
-    v = a.root ** a.exponent  # hi <= 2 * cap here, cheap to materialize
-    return v if v.bit_length() <= caps.value_bit_cap else None
+    v = root ** exponent  # at most 2 * bit_cap bits here, cheap to materialize
+    return v if v.bit_length() <= bit_cap else None
 
 
 def evaluate(a: PowerForm, caps: Caps = DEFAULT_CAPS) -> int:

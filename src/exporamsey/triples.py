@@ -20,6 +20,7 @@ from .tower import (
     PowerForm,
     _canonical,
     _record_int,
+    _try_value,
     compare,
     normalize,
     powerform_record,
@@ -222,26 +223,28 @@ def exp_closure(seeds: Iterable[int], depth: int, caps: Caps = DEFAULT_CAPS) -> 
     if depth > _MAX_CLOSURE_DEPTH:
         raise CapacityError(f"depth {depth} exceeds max_closure_depth {_MAX_CLOSURE_DEPTH}")
 
-    vertices = {normalize(s, caps) for s in seed_list}
+    # rounds run on (root, exponent) pairs; forms are built only to sort
+    vertices = {(f.root, f.exponent) for f in (normalize(s, caps) for s in seed_list)}
     dropped = 0
     truncated = 0
     for _ in range(depth):
-        values = [vb for v in vertices if (vb := try_evaluate(v, caps)) is not None]
+        values = sorted(vb for root, exp in vertices
+                        if (vb := _try_value(root, exp, caps.value_bit_cap)) is not None)
         new = set()
-        for a in vertices:
-            for vb in values:
-                exp = a.exponent * vb
-                if exp.bit_length() > caps.exp_bit_cap:
-                    dropped += 1
-                    continue
-                new.add(_canonical(a.root, exp))
+        for root, exp in vertices:
+            for j, vb in enumerate(values):
+                new_exp = exp * vb
+                if new_exp.bit_length() > caps.exp_bit_cap:
+                    dropped += len(values) - j  # the larger values overflow too
+                    break
+                new.add((root, new_exp))
         vertices |= new
         if len(vertices) > caps.vertex_budget:
-            kept = sorted_forms(vertices)[: caps.vertex_budget]
+            kept = _sorted_pairs(vertices)[: caps.vertex_budget]
             truncated += len(vertices) - len(kept)
-            vertices = set(kept)
+            vertices = {(f.root, f.exponent) for f in kept}
 
-    verts = tuple(sorted_forms(vertices))
+    verts = tuple(_sorted_pairs(vertices))
     meta = ClosureMeta(
         seeds=tuple(seed_list),
         depth=depth,
@@ -252,6 +255,10 @@ def exp_closure(seeds: Iterable[int], depth: int, caps: Caps = DEFAULT_CAPS) -> 
         truncated_count=truncated,
     )
     return TripleHypergraph(vertices=verts, edges=tuple(_edges(verts, caps)), meta=meta)
+
+
+def _sorted_pairs(pairs) -> list[PowerForm]:
+    return sorted_forms([_canonical(root, exp) for root, exp in pairs])
 
 
 def sub_hypergraph(h: TripleHypergraph, indices: Iterable[int]) -> TripleHypergraph:

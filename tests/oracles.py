@@ -185,6 +185,48 @@ def parse_dimacs(text):
     return num_vars, clauses, varmap
 
 
+def dimacs_oracle(pairs, edges, k, value_bit_cap=4096):
+    """DIMACS text for the proper k-colorings, one clause at a time.
+
+    Vertices are (root, exponent) pairs, labelled by their value when it
+    fits value_bit_cap and "root^exponent" otherwise.  k = 2: variable i+1
+    per vertex i and two clauses per edge; k > 2: variables i*k + c + 1,
+    at-least-one and pairwise at-most-one clauses per vertex, then per
+    edge and color one all-different clause.
+    """
+    labels = []
+    for root, exp in pairs:
+        v = _evaluable((root, exp), value_bit_cap)
+        labels.append(str(v) if v is not None else f"{root}^{exp}")
+    nv = len(pairs)
+    lines = []
+    clauses = []
+    if k == 2:
+        for i, label in enumerate(labels):
+            lines.append(f"c v {i} {label} var {i + 1}")
+        for e in edges:
+            vs = sorted(set(e))
+            clauses.append(" ".join(str(v + 1) for v in vs) + " 0")
+            clauses.append(" ".join(str(-(v + 1)) for v in vs) + " 0")
+        lines.append(f"p cnf {nv} {len(clauses)}")
+    else:
+        for i, label in enumerate(labels):
+            first = i * k + 1
+            lines.append(f"c v {i} {label} vars {first}..{first + k - 1}")
+        for i in range(nv):
+            base = i * k + 1
+            clauses.append(" ".join(str(base + c) for c in range(k)) + " 0")
+            for c1 in range(k):
+                for c2 in range(c1 + 1, k):
+                    clauses.append(f"-{base + c1} -{base + c2} 0")
+        for e in edges:
+            vs = sorted(set(e))
+            for c in range(k):
+                clauses.append(" ".join(str(-(v * k + c + 1)) for v in vs) + " 0")
+        lines.append(f"p cnf {nv * k} {len(clauses)}")
+    return "\n".join(lines + clauses) + "\n"
+
+
 def cnf_satisfied(clauses, true_vars):
     """Does the assignment (set of true variable numbers) satisfy the CNF?"""
     for clause in clauses:

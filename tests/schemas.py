@@ -1,7 +1,7 @@
 """JSON Schemas for the machine-readable output formats.
 
-These are data, not runtime dependencies: the test suite validates CLI
-output against them with the `jsonschema` package.
+Test data, not part of the package: `test_cli.py` validates CLI output
+against them with the `jsonschema` package.
 """
 
 DECIMAL = {"type": "string", "pattern": "^[0-9]+$"}

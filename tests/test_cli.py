@@ -12,10 +12,25 @@ import jsonschema
 import pytest
 
 import exporamsey
-from exporamsey import schemas
+from exporamsey import cli
 from exporamsey.cli import main
 
+import schemas
 from oracles import parse_dimacs
+
+
+@pytest.fixture(autouse=True)
+def records_match_json_dumps(monkeypatch):
+    """Every record a test here prints must be json.dumps(record, indent=2) + newline."""
+    dump = cli._dump
+
+    def checked(obj, stream):
+        buf = io.StringIO()
+        dump(obj, buf)
+        assert buf.getvalue() == json.dumps(obj, indent=2) + "\n"
+        stream.write(buf.getvalue())
+
+    monkeypatch.setattr(cli, "_dump", checked)
 
 
 def run_cli(*argv):
@@ -128,6 +143,15 @@ def test_color_rule_count_json_and_csv():
     assert code == 0
     assert out.splitlines()[0] == "N,cell,count"
     assert "16,total,5" in out.splitlines()
+
+
+def test_rule_count_below_the_first_triple():
+    rule = ("color", "rule-count", "--rule", "1 / (n - 2)", "--k", "2")  # fails at n = 2 only
+    code, data = run_json(*rule, "--max", "3")
+    assert code == 0
+    assert data["counts"] == [{"N": "3", "k": 2, "per_cell": {"0": 0, "1": 0}, "total": 0,
+                               "rainbow": 0, "triples": 0}]
+    assert run_cli(*rule, "--max", "4") == (1, "")
 
 
 def test_rule_count_many_bounds_in_one_run():

@@ -30,7 +30,13 @@ from exporamsey.coloring import (
     solve_constraints,
 )
 
-from oracles import cnf_satisfied, first_proper_coloring, parse_dimacs, triples_oracle
+from oracles import (
+    cnf_satisfied,
+    dimacs_oracle,
+    first_proper_coloring,
+    parse_dimacs,
+    triples_oracle,
+)
 
 
 def closure2():
@@ -257,6 +263,40 @@ def test_dimacs_roundtrip_k3():
         assert sat == (check_coloring(h, col) == [])
 
 
+def _random_hypergraph(rng, nv, n_edges, caps):
+    from exporamsey import PowerForm
+    from exporamsey.triples import ClosureMeta, TripleHypergraph
+
+    roots = (2, 3, 5, 6, 7, 10, 11, 12)
+    forms = {PowerForm(rng.choice(roots), rng.choice((1, 2, 3, 5, 40, 10 ** 4)))
+             for _ in range(3 * nv)}
+    verts = tuple(sorted(forms))[:nv]
+    edges = []
+    for _ in range(n_edges if verts else 0):
+        a, b, c = (rng.randrange(len(verts)) for _ in range(3))
+        if rng.random() < 0.3:
+            b = a  # like (2, 2, 4): two vertices
+        edges.append((a, b, c))
+    meta = ClosureMeta((2,), 0, caps.value_bit_cap, caps.exp_bit_cap, caps.vertex_budget, 0, 0)
+    return TripleHypergraph(verts, tuple(edges), meta)
+
+
+def test_export_dimacs_matches_oracle():
+    rng = random.Random(11)
+    caps = Caps()
+    h23 = exp_closure({2, 3}, 2)
+    cases = [exp_closure({2}, 3), h23, exp_closure({3}, 0),
+             sub_hypergraph(h23, range(0, len(h23.vertices), 2))]
+    cases += [_random_hypergraph(rng, nv, n_edges, caps)
+              for nv, n_edges in [(0, 0), (1, 0), (5, 0), (1, 3), (2, 4)] + [(12, 30)] * 20]
+    assert any(not h.edges for h in cases)
+    for h in cases:
+        pairs = [(v.root, v.exponent) for v in h.vertices]
+        for k in (2, 3, 4):
+            expected = dimacs_oracle(pairs, h.edges, k, caps.value_bit_cap)
+            assert export_dimacs(h, k, caps) == expected
+
+
 def test_count_mono_examples():
     rule = parse_rule("n % 2", 2)
     counts = count_mono_triples(rule, 30)
@@ -358,9 +398,31 @@ def test_count_mono_checks_bounds_before_colouring():
         count_mono_triples_at(rule, [16, -5])
     with pytest.raises(CapacityError):
         count_mono_triples_at(rule, [16, 10 ** 20])
-    assert count_mono_triples_at(rule, [3])[0].triple_count == 0  # no triple, no colour
-    with pytest.raises(RuleEvaluationError, match="at n=2:"):
-        count_mono_triples_at(rule, [4])
+    for rule in (parse_rule("1 / 0", 2), parse_rule("1 / (n - 2)", 2)):
+        assert count_mono_triples_at(rule, [3])[0].triple_count == 0  # no triple, no colour
+        with pytest.raises(RuleEvaluationError, match="at n=2:"):
+            count_mono_triples_at(rule, [3, 4])
+
+
+def test_count_mono_colours_two_once_per_pass():
+    from exporamsey.rules import ColorRule
+
+    seen = []
+    compiled = parse_rule("ilog2(ilog2(n)) % 2", 2).evaluate
+
+    def evaluate(n):
+        seen.append(n)
+        return compiled(n)
+
+    rule = ColorRule("ilog2(ilog2(n)) % 2", 2, evaluate)
+    counts = count_mono_triples_at(rule, [10 ** 4, 10 ** 6])
+    assert [c.triple_count for c in counts] == [len(triples_oracle(10 ** 4)),
+                                                len(triples_oracle(10 ** 6))]
+    # once up front, then only as the a of the triples (2, b, 2**b)
+    assert seen.count(2) == 1 + sum(a == 2 for a, _, _ in triples_oracle(10 ** 6))
+    seen.clear()
+    assert count_mono_triples_at(rule, [3])[0].triple_count == 0
+    assert seen == []  # no triple, so colour(2) is not taken
 
 
 def test_coloring_record_roundtrip():
