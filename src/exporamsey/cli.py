@@ -176,14 +176,19 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _read_json(path: str, what: str):
+    """The JSON value in a file; a DomainError names `what` if it cannot be read."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise DomainError(f"cannot read {what}: {exc}") from exc
+
+
 def _load_config(args) -> RunConfig:
     file_values = {}
     if args.config:
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                file_values = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise DomainError(f"cannot read config file {args.config}: {exc}") from exc
+        file_values = _read_json(args.config, f"config file {args.config}")
         if not isinstance(file_values, dict):
             raise DomainError("config file must hold a JSON object")
         for key in file_values:
@@ -222,11 +227,7 @@ def _window_set_from_args(args) -> ip_mod.WindowSet:
 
 def _hypergraph_from_args(args, caps) -> tri_mod.TripleHypergraph:
     if args.hypergraph:
-        try:
-            with open(args.hypergraph, "r", encoding="utf-8") as fh:
-                rec = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise DomainError(f"cannot read hypergraph file: {exc}") from exc
+        rec = _read_json(args.hypergraph, "hypergraph file")
         return tri_mod.hypergraph_from_record(rec, caps)
     if args.seeds is None or args.depth is None:
         raise DomainError("need --seeds and --depth (or --hypergraph)")
@@ -289,12 +290,7 @@ def _run_color(args, cfg: RunConfig, out) -> int:
         return EXIT_OK
     if args.action == "check":
         h = _hypergraph_from_args(args, caps)
-        try:
-            with open(args.coloring, "r", encoding="utf-8") as fh:
-                rec = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise DomainError(f"cannot read coloring file: {exc}") from exc
-        col = col_mod.coloring_from_record(h, rec, caps)
+        col = col_mod.coloring_from_record(h, _read_json(args.coloring, "coloring file"), caps)
         mono = col_mod.check_coloring(h, col)
         _dump({"monochromatic_edges": [list(e) for e in mono], "count": len(mono)}, out)
         return EXIT_OK

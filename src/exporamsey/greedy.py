@@ -237,11 +237,19 @@ def _combine(values, indices, multiplicative: bool) -> int:
     return sum(values[i] for i in indices)
 
 
-def _family_holds(spec: SetSpec, v: int, l: int, multiplicative: bool) -> bool:
-    """t**v in A for t in [2, l], or v**t in A for t in [1, l] if multiplicative."""
-    for t in range(1 if multiplicative else 2, l + 1):
-        if not spec.contains(_safe_pow(v, t) if multiplicative else _safe_pow(t, v)):
-            return False
+def _families_hold(spec: SetSpec, xs, level_max, multiplicative: bool) -> bool:
+    """Check every family F of indices whose largest is the last one of xs.
+
+    With v the sum (or product, if multiplicative) of xs over F and l the
+    level_max of min F: t**v in A for t in [2, l], or v**t in A for t in [1, l].
+    """
+    j = len(xs) - 1
+    for mask in range(1 << j):
+        family = [i for i in range(j) if mask >> i & 1] + [j]
+        v = _combine(xs, family, multiplicative)
+        for t in range(1 if multiplicative else 2, level_max[family[0]] + 1):
+            if not spec.contains(_safe_pow(v, t) if multiplicative else _safe_pow(t, v)):
+                return False
     return True
 
 
@@ -275,15 +283,6 @@ def _search_blocks(
     explored = 0
     undecidable = 0
 
-    def conditions_hold(xs: list[int], level_max: list[int], j: int) -> bool:
-        """Check every family F with max F = j against the oracle."""
-        for mask in range(1 << j):
-            family = [i for i in range(j) if mask >> i & 1] + [j]
-            v = _combine(xs, family, multiplicative)
-            if not _family_holds(spec, v, level_max[min(family)], multiplicative):
-                return False
-        return True
-
     def dfs(blocks: list[tuple[int, ...]], xs: list[int], level_max: list[int]):
         nonlocal explored, undecidable
         if len(blocks) == steps:
@@ -295,7 +294,6 @@ def _search_blocks(
                 window=spec.window,
             )
         start = blocks[-1][-1] + 1 if blocks else 0
-        j = len(blocks)
         f_j = _f_value(mode, tuple(xs), multiplicative, caps)
         if f_j is None:
             undecidable += 1
@@ -306,7 +304,7 @@ def _search_blocks(
                 raise _SearchBudget()
             x_j = _combine(ys, block, multiplicative)
             try:
-                ok = conditions_hold(xs + [x_j], level_max + [f_j], j)
+                ok = _families_hold(spec, xs + [x_j], level_max + [f_j], multiplicative)
             except (OracleRangeError, CapacityError):
                 undecidable += 1
                 continue
@@ -344,10 +342,8 @@ def _verify_state(spec, ys, state: GreedyState, mode, caps, multiplicative: bool
         expect_f = _f_value(mode, state.chosen[:j], multiplicative, caps)
         if expect_f != state.level_max[j]:
             raise AssertionError("recorded f value disagrees with recomputation")
-    for mask in range(1, 1 << m):
-        family = [j for j in range(m) if mask >> j & 1]
-        v = _combine(state.chosen, family, multiplicative)
-        if not _family_holds(spec, v, state.level_max[min(family)], multiplicative):
+    for j in range(1, m + 1):
+        if not _families_hold(spec, state.chosen[:j], state.level_max[:j], multiplicative):
             raise AssertionError("success state fails its own conditions")
 
 

@@ -1,34 +1,35 @@
 """A small expression DSL for coloring rules over the naturals.
 
-Grammar (precedence from loosest to tightest):
+Grammar:
 
-    expr    := and ("or" and)*
-    and     := unary ("and" unary)*
-    unary   := "not" unary | cmp
-    cmp     := add (("=="|"!="|"<="|">="|"<"|">") add)?
-    add     := mul (("+"|"-") mul)*
-    mul     := factor (("*"|"/"|"%") factor)*
-    factor  := "-" factor | atom
-    atom    := INT | "n" | "(" expr ")"
-             | "ilog2" "(" expr ")" | "ipow" "(" expr "," expr ")"
-             | "if" "(" expr "," expr "," expr ")"
+    expr  := "not" expr | "-" expr | expr OP expr | atom
+    atom  := INT | "n" | "(" expr ")"
+           | "ilog2" "(" expr ")" | "ipow" "(" expr "," expr ")"
+           | "if" "(" expr "," expr "," expr ")"
+
+with precedence from loosest to tightest: "or", "and", "not", the
+comparisons "==" "!=" "<=" ">=" "<" ">", then "+" "-", then "*" "/" "%",
+then unary "-".  Binary operators associate to the left, except that
+comparisons do not chain: "n < n < n" and "not 1 <= 1 < 2" are syntax
+errors.  "not" only stands where an "and" operand may: "n < not n" and
+"- not n" are syntax errors too.
 
 Everything is an integer.  Comparisons and boolean operators yield 0/1 and
 treat any non-zero value as true; "/" and "%" truncate toward zero; ilog2(x)
 is floor(log2 x) for x >= 1; if(c, x, y) evaluates lazily.  A rule's color
 is the expression value reduced into [0, k) by mathematical modulus.
 
-A rule compiles once, through Python's `ast` module, into one function of
-n; no source text is generated or `eval`ed.  Parentheses, function
-arguments and unary operators may nest, and the parsed tree may grow (also
-through chains of binary operators), at most _MAX_RULE_DEPTH levels deep;
-a deeper rule is a RuleSyntaxError at the token that passes the limit.
+The parser builds Python `ast` nodes as it reads the rule, and the rule
+compiles once into one function of n; no source text is generated or
+`eval`ed.  Parentheses, function arguments and unary operators may nest,
+and the rule's tree may grow (also through chains of binary operators), at
+most _MAX_RULE_DEPTH levels deep; a deeper rule is a RuleSyntaxError at the
+token that passes the limit.
 """
 
 from __future__ import annotations
 
 import ast
-import itertools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -38,13 +39,19 @@ _KEYWORDS = {"n", "and", "or", "not", "if", "ilog2", "ipow"}
 _CMP_OPS = {"==": ast.Eq, "!=": ast.NotEq, "<=": ast.LtE, ">=": ast.GtE,
             "<": ast.Lt, ">": ast.Gt}
 _ARITY = {"ilog2": 1, "ipow": 2, "if": 3}
+# Binding strengths: of the binary operators, and of the prefix operators,
+# whose operand takes every binary operator at least as strong.
+_PREC = {"or": 1, "and": 2, **dict.fromkeys(_CMP_OPS, 4),
+         "+": 5, "-": 5, "*": 6, "/": 6, "%": 6}
+_PREFIX = {"not": 3, "-": 7}
 
 # Guards against runaway ipow blowup; violations surface per-input.
 _IPOW_EXP_LIMIT = 1 << 20
 _IPOW_RESULT_BITS = 1 << 21
-# The nesting and tree height a rule may reach.  The parser takes up to 8
-# Python frames per nesting level, so a rule at the limit leaves callers
-# about 190 frames of the default recursion limit (1000).
+# The nesting and tree height a rule may reach.  The parser takes 2 Python
+# frames per nesting level, and compiling a rule at the limit charges up to
+# about 310 frames, so callers keep about 690 of the default recursion
+# limit (1000).
 _MAX_RULE_DEPTH = 100
 
 
@@ -90,12 +97,12 @@ def _tokenize(source: str) -> list[tuple[str, str, int]]:
 
 
 class _Parser:
-    """Recursive descent; each method returns (node, height of the node's tree).
+    """Precedence climbing; `expr` returns (node, height of the rule's tree).
 
     A leaf has height 0.  `nesting` counts the parentheses, function
     arguments and unary operators open around the current token.  Both stay
-    within _MAX_RULE_DEPTH, which bounds the recursion of this parser, of
-    `_compile` and of Python's compiler.
+    within _MAX_RULE_DEPTH, which bounds the recursion of this parser and of
+    Python's compiler.
     """
 
     def __init__(self, source: str):
@@ -131,80 +138,46 @@ class _Parser:
             raise RuleSyntaxError(f"rule nests deeper than {_MAX_RULE_DEPTH} levels", at)
         return h
 
-    def parse(self):
+    def parse(self) -> ast.expr:
         node, _ = self.expr()
         kind, val, at = self.peek()
         if kind != "eof":
             raise RuleSyntaxError(f"unexpected token {val!r}", at)
         return node
 
-    def expr(self):
-        node, h = self.and_expr()
-        while self.peek()[1] == "or":
-            at = self.take()[2]
-            rhs, rh = self.and_expr()
-            node, h = ("bool", "or", node, rhs), self.above(at, h, rh)
-        return node, h
+    def expr(self, min_prec: int = 1) -> tuple[ast.expr, int]:
+        """The expression at the cursor whose binary operators bind at least min_prec.
 
-    def and_expr(self):
-        node, h = self.unary()
-        while self.peek()[1] == "and":
-            at = self.take()[2]
-            rhs, rh = self.unary()
-            node, h = ("bool", "and", node, rhs), self.above(at, h, rh)
-        return node, h
-
-    def unary(self):
-        _, val, at = self.peek()
-        if val == "not":
-            self.take()
-            self.enter(at)
-            x, h = self.unary()
-            self.nesting -= 1
-            return ("not", x), self.above(at, h)
-        return self.cmp()
-
-    def cmp(self):
-        node, h = self.add()
-        kind, val, at = self.peek()
-        if kind == "op" and val in _CMP_OPS:
-            self.take()
-            rhs, rh = self.add()
-            return ("cmp", val, node, rhs), self.above(at, h, rh)
-        return node, h
-
-    def add(self):
-        node, h = self.mul()
-        while self.peek()[0] == "op" and self.peek()[1] in "+-":
-            _, op, at = self.take()
-            rhs, rh = self.mul()
-            node, h = ("bin", op, node, rhs), self.above(at, h, rh)
-        return node, h
-
-    def mul(self):
-        node, h = self.factor()
-        while self.peek()[0] == "op" and self.peek()[1] in "*/%":
-            _, op, at = self.take()
-            rhs, rh = self.factor()
-            node, h = ("bin", op, node, rhs), self.above(at, h, rh)
-        return node, h
-
-    def factor(self):
-        kind, val, at = self.peek()
-        if kind == "op" and val == "-":
-            self.take()
-            self.enter(at)
-            x, h = self.factor()
-            self.nesting -= 1
-            return ("neg", x), self.above(at, h)
-        return self.atom()
-
-    def atom(self):
+        `prec` caps the strength of the next operator the loop may take.  The
+        right operand of an operator of strength p took every stronger one, so
+        the cap falls to p, and below p after a comparison, so comparisons
+        never chain.  After a prefix operator the cap is its own strength: a
+        `not` is followed only by `and` and `or`.
+        """
         kind, val, at = self.take()
+        prec = _PREFIX.get(val, 0)
+        if prec < min_prec:  # an atom; a `not` here is refused as one
+            node, h = self.atom(kind, val, at)
+            prec = _PREFIX["-"]  # any binary operator may follow
+        else:
+            self.enter(at)
+            operand, h = self.expr(prec)
+            self.nesting -= 1
+            node = (_node(ast.UnaryOp, ast.Not(), operand) if val == "not"
+                    else _node(ast.UnaryOp, ast.USub(), _value(operand)))
+            h = self.above(at, h)
+        while min_prec <= _PREC.get(self.peek()[1], 0) <= prec:
+            _, op, at = self.take()
+            rhs, rh = self.expr(_PREC[op] + 1)
+            node, h = _binary(op, node, rhs), self.above(at, h, rh)
+            prec = _PREC[op] - (op in _CMP_OPS)
+        return node, h
+
+    def atom(self, kind: str, val: str, at: int) -> tuple[ast.expr, int]:
         if kind == "int":
-            return ("int", int(val)), 0
+            return _const(int(val)), 0
         if val == "n":
-            return ("var",), 0
+            return _name("n"), 0
         if val == "(":
             self.enter(at)
             node = self.expr()
@@ -223,7 +196,10 @@ class _Parser:
                 heights.append(h)
             self.expect(")")
             self.nesting -= 1
-            return (val, *args), self.above(at, *heights)
+            h = self.above(at, *heights)
+            if val == "if":
+                return _node(ast.IfExp, args[0], _value(args[1]), _value(args[2])), h
+            return _call(val, *args), h
         raise RuleSyntaxError("expected an operand", at)
 
 
@@ -255,6 +231,7 @@ def _ipow(a: int, b: int) -> int:
     return a ** b
 
 
+_BOOL_OPS = {"or": ast.Or, "and": ast.And}
 _ARITH_OPS = {"+": ast.Add, "-": ast.Sub, "*": ast.Mult}
 _FLOOR_OPS = {"/": ast.FloorDiv, "%": ast.Mod}
 _HELPERS = {"/": _trunc_div, "%": _trunc_mod, "ilog2": _ilog2, "ipow": _ipow}
@@ -262,85 +239,76 @@ _HELPERS = {"/": _trunc_div, "%": _trunc_mod, "ilog2": _ilog2, "ipow": _ipow}
 _GLOBALS = {"__builtins__": {}, **{f.__name__: f for f in _HELPERS.values()}}
 
 
-def _compile(parsed: tuple) -> Callable[[int], int]:
+def _node(cls, *fields) -> ast.AST:
+    """An `ast` node of type cls, placed at the start of line 1."""
+    return cls(*fields, lineno=1, col_offset=0)
+
+
+def _const(c: int) -> ast.expr:
+    return _node(ast.Constant, c)
+
+
+def _name(ident: str, ctx=ast.Load) -> ast.expr:
+    return _node(ast.Name, ident, ctx())
+
+
+def _value(node: ast.expr) -> ast.expr:
+    """The node as an int: a test (comparison, `not`, `and`, `or`) becomes 0 or 1."""
+    if isinstance(node, (ast.Compare, ast.BoolOp)) or (
+            isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not)):
+        return _node(ast.IfExp, node, _const(1), _const(0))
+    return node
+
+
+def _call(op: str, *args: ast.expr) -> ast.expr:
+    return _node(ast.Call, _name(_HELPERS[op].__name__), [_value(a) for a in args], [])
+
+
+def _binary(op: str, left: ast.expr, right: ast.expr) -> ast.expr:
+    """The node of `left op right`.
+
+    `and` and `or` evaluate lazily.  `/` and `%` by a positive constant are
+    floor division on |v|; every other `/` and `%` calls the helpers above,
+    which raise the evaluation errors.
+    """
+    if op in _BOOL_OPS:
+        return _node(ast.BoolOp, _BOOL_OPS[op](), [left, right])
+    left, right = _value(left), _value(right)
+    if op in _CMP_OPS:
+        return _node(ast.Compare, left, [_CMP_OPS[op]()], [right])
+    if op in _ARITH_OPS:
+        return _node(ast.BinOp, left, _ARITH_OPS[op](), right)
+    if not isinstance(right, ast.Constant) or right.value <= 0:
+        return _call(op, left, right)
+    # by a positive constant c, truncation is floor division on |v|:
+    # v // c if (v := left) >= 0 else -(-v // c), where n needs no temporary;
+    # one temporary serves every division, as each reads it right after it is set
+    if isinstance(left, ast.Name):
+        v, first = "n", left
+    else:
+        v = "_t"
+        first = _node(ast.NamedExpr, _name(v, ast.Store), left)
+    floor = _FLOOR_OPS[op]
+    negated = _node(ast.UnaryOp, ast.USub(), _name(v))
+    return _node(
+        ast.IfExp,
+        _node(ast.Compare, first, [ast.GtE()], [_const(0)]),
+        _node(ast.BinOp, _name(v), floor(), right),
+        _node(ast.UnaryOp, ast.USub(), _node(ast.BinOp, negated, floor(), right)),
+    )
+
+
+def _compile(body: ast.expr) -> Callable[[int], int]:
     """The function n -> value of a parsed rule, as one compiled `lambda n: ...`.
 
-    The lambda is assembled from `ast` nodes and passed to `compile()`; no
-    source text is generated, `eval` only runs the compiled code to make the
-    function, and the tree holds only constants, `n`, walrus temporaries and
-    helper names.  Evaluating it makes no Python call per rule node.
-    Comparisons, `not`, `and` and `or` yield 0/1, and `and`, `or` and `if`
-    evaluate lazily.  `/` and `%` by a positive constant are floor division
-    on |v|; every other `/` and `%`, and `ilog2` and `ipow`, call the
-    helpers above, which raise the evaluation errors.  The parser keeps the
-    tree within _MAX_RULE_DEPTH levels, so neither this recursion nor
-    Python's compiler runs out of stack.
+    The lambda is passed to `compile()` as an `ast` tree; no source text is
+    generated, `eval` only runs the compiled code to make the function, and
+    the tree holds only constants, `n`, a walrus temporary and helper names.
+    Evaluating it makes no Python call per rule node.
     """
-    temps = itertools.count()
-
-    def node(cls, *fields) -> ast.AST:
-        """An `ast` node of type cls, placed at the start of line 1."""
-        return cls(*fields, lineno=1, col_offset=0)
-
-    def const(c: int) -> ast.expr:
-        return node(ast.Constant, c)
-
-    def name(ident: str, ctx=ast.Load) -> ast.expr:
-        return node(ast.Name, ident, ctx())
-
-    def call(op: str, *args: tuple) -> ast.expr:
-        return node(ast.Call, name(_HELPERS[op].__name__), [value(a) for a in args], [])
-
-    def truth(tree: tuple) -> ast.expr:
-        """An expression that is true exactly when the tree's value is non-zero."""
-        op = tree[0]
-        if op == "cmp":
-            return node(ast.Compare, value(tree[2]), [_CMP_OPS[tree[1]]()], [value(tree[3])])
-        if op == "not":
-            return node(ast.UnaryOp, ast.Not(), truth(tree[1]))
-        if op == "bool":
-            bool_op = ast.And() if tree[1] == "and" else ast.Or()
-            return node(ast.BoolOp, bool_op, [truth(tree[2]), truth(tree[3])])
-        return value(tree)
-
-    def value(tree: tuple) -> ast.expr:
-        op = tree[0]
-        if op in ("cmp", "not", "bool"):
-            return node(ast.IfExp, truth(tree), const(1), const(0))
-        if op == "int":
-            return const(tree[1])
-        if op == "var":
-            return name("n")
-        if op == "neg":
-            return node(ast.UnaryOp, ast.USub(), value(tree[1]))
-        if op == "if":
-            return node(ast.IfExp, truth(tree[1]), value(tree[2]), value(tree[3]))
-        if op != "bin":  # ilog2, ipow
-            return call(op, *tree[1:])
-        _, sym, left, right = tree
-        if sym in _ARITH_OPS:
-            return node(ast.BinOp, value(left), _ARITH_OPS[sym](), value(right))
-        if right[0] != "int" or right[1] <= 0:
-            return call(sym, left, right)
-        # by a positive constant c, truncation is floor division on |v|:
-        # v // c if (v := left) >= 0 else -(-v // c), where n needs no temporary
-        if left[0] == "var":
-            v, first = "n", name("n")
-        else:
-            v = f"_t{next(temps)}"
-            first = node(ast.NamedExpr, name(v, ast.Store), value(left))
-        c, floor = right[1], _FLOOR_OPS[sym]
-        negated = node(ast.UnaryOp, ast.USub(), name(v))
-        return node(
-            ast.IfExp,
-            node(ast.Compare, first, [ast.GtE()], [const(0)]),
-            node(ast.BinOp, name(v), floor(), const(c)),
-            node(ast.UnaryOp, ast.USub(), node(ast.BinOp, negated, floor(), const(c))),
-        )
-
-    args = ast.arguments(posonlyargs=[], args=[node(ast.arg, "n")], kwonlyargs=[],
+    args = ast.arguments(posonlyargs=[], args=[_node(ast.arg, "n")], kwonlyargs=[],
                          kw_defaults=[], defaults=[])
-    lam = ast.Expression(node(ast.Lambda, args, value(parsed)))
+    lam = ast.Expression(_node(ast.Lambda, args, _value(body)))
     return eval(compile(lam, "<rule>", "eval"), _GLOBALS)
 
 

@@ -13,7 +13,8 @@ from typing import Iterable, Sequence
 
 from .config import Caps, DEFAULT_CAPS
 from .errors import CapacityError, DomainError
-from .tower import PowerForm, normalize, power, powerform_record, sorted_forms, try_evaluate
+from .tower import (PowerForm, _try_value, normalize, power, powerform_record, sorted_forms,
+                    try_evaluate)
 
 # |X| guard for finite sums and products, whose sets have up to 2**|X| - 1 elements.
 _SUBSET_SIZE_GUARD = 25
@@ -106,10 +107,8 @@ def fe2(seeds: Sequence[int], level: int, caps: Caps = DEFAULT_CAPS) -> FeLevel:
 
 def _capped_pow(base: int, exp: int, caps: Caps) -> int:
     """base**exp within value_bit_cap; a bit-length bound rejects huge powers unbuilt."""
-    if exp * base.bit_length() > 2 * caps.value_bit_cap:
-        raise CapacityError(f"{base}**{exp} exceeds value_bit_cap {caps.value_bit_cap}")
-    v = base ** exp
-    if v.bit_length() > caps.value_bit_cap:
+    v = _try_value(base, exp, caps.value_bit_cap)
+    if v is None:
         raise CapacityError(f"{base}**{exp} exceeds value_bit_cap {caps.value_bit_cap}")
     return v
 

@@ -425,6 +425,30 @@ def test_config_file_merge(tmp_path):
     assert data["status"] == "found"
 
 
+@pytest.mark.parametrize("argv, what", [
+    (["--config", "{f}", "triples", "enum", "--max", "4"], "config file {f}"),
+    (["color", "solve", "--hypergraph", "{f}", "--k", "2"], "hypergraph file"),
+    (["color", "check", "--seeds", "2", "--depth", "1", "--coloring", "{f}"], "coloring file"),
+], ids=["config", "hypergraph", "coloring"])
+def test_unreadable_json_files_are_domain_errors(tmp_path, capsys, argv, what):
+    f = tmp_path / "in.json"
+    argv, what = [a.format(f=f) for a in argv], what.format(f=f)
+    with pytest.raises(OSError) as missing:
+        open(f)
+    assert run_cli(*argv) == (1, "")
+    assert capsys.readouterr().err == f"error: cannot read {what}: {missing.value}\n"
+    f.write_text("{")
+    with pytest.raises(json.JSONDecodeError) as bad:
+        json.loads("{")
+    assert run_cli(*argv) == (1, "")
+    assert capsys.readouterr().err == f"error: cannot read {what}: {bad.value}\n"
+    f.write_bytes(b"\xff{}")  # not UTF-8
+    with pytest.raises(UnicodeDecodeError) as bad:
+        b"\xff{}".decode("utf-8")
+    assert run_cli(*argv) == (1, "")
+    assert capsys.readouterr().err == f"error: cannot read {what}: {bad.value}\n"
+
+
 @pytest.mark.parametrize("values, message", [
     ({"value_bit_cap": "big"}, "value_bit_cap must be an integer"),
     ({"vertex_budget": True}, "vertex_budget must be an integer"),

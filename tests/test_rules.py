@@ -104,6 +104,57 @@ def test_k_validation():
     parse_rule("0", 1)  # single cell is allowed for counting
 
 
+# malformed rule source -> (offset, message) of its RuleSyntaxError
+_MALFORMED = {
+    "n == n == n": (7, "unexpected token '=='"),
+    "not 1 <= 1 < 2": (11, "unexpected token '<'"),
+    "not n < 1 < 2": (10, "unexpected token '<'"),
+    "not not n != n != n": (15, "unexpected token '!='"),
+    "n < 1 and 2 > 3 < 4": (16, "unexpected token '<'"),
+    "1 < 2 or 3 < 4 < 5": (15, "unexpected token '<'"),
+    "n == (n == n) == n": (14, "unexpected token '=='"),
+    "(n < n < n)": (7, "expected ')'"),
+    "ilog2(n < 1 < 2)": (12, "expected ')'"),
+    "n < not n": (4, "expected an operand"),
+    "- not n": (2, "expected an operand"),
+    "n % not 2": (4, "expected an operand"),
+    "n < -not n": (5, "expected an operand"),
+    "n - - - n * not n": (12, "expected an operand"),
+    "n + * n": (4, "expected an operand"),
+    "* n": (0, "expected an operand"),
+    "n and or n": (6, "expected an operand"),
+    "n and": (5, "expected an operand"),
+    "n or not": (8, "expected an operand"),
+    "": (0, "expected an operand"),
+    "   ": (3, "expected an operand"),
+    "()": (1, "expected an operand"),
+    "ilog2()": (6, "expected an operand"),
+    "(n": (2, "expected ')'"),
+    "(n,)": (2, "expected ')'"),
+    "ilog2(n": (7, "expected ')'"),
+    "ipow(n, 2, 3)": (9, "expected ')'"),
+    "ipow(n)": (6, "expected ','"),
+    "if(n, n)": (7, "expected ','"),
+    "if(n < 2, 1 2)": (12, "expected ','"),
+    "ilog2 n": (6, "expected '('"),
+    "n)": (1, "unexpected token ')'"),
+    "n n": (2, "unexpected token 'n'"),
+    "n, n": (1, "unexpected token ','"),
+    "n => 2": (2, "incomplete operator '='"),
+    "n ! 2": (2, "incomplete operator '!'"),
+    "n_1": (0, "unknown identifier 'n_1'"),
+}
+
+
+@pytest.mark.parametrize("source", _MALFORMED)
+def test_malformed_rules_pinned(source):
+    position, message = _MALFORMED[source]
+    with pytest.raises(RuleSyntaxError) as err:
+        parse_rule(source, 2)
+    assert err.value.position == position
+    assert str(err.value) == f"syntax error at position {position}: {message}"
+
+
 def _left_nested(levels, tail):
     """levels parenthesised `+ n` around n, then `tail`: height levels + tail's chain."""
     return "(" * levels + "n" + "+ n)" * levels + tail
@@ -155,6 +206,7 @@ def test_rules_at_the_depth_limit_evaluate():
         "+".join(["if(ilog2(n), -(-n), not not n)"] * 51): 7 * 51,
     }
     for source, value in cases.items():
-        # a caller 100 frames deep still leaves the parser room
-        rule = _call_from_depth(100, lambda: parse_rule(source, 1000))
-        assert rule.color(7) == value % 1000, source
+        # a caller 100 or 500 frames deep still leaves the parser room
+        for frames in (100, 500):
+            rule = _call_from_depth(frames, lambda: parse_rule(source, 1000))
+            assert rule.color(7) == value % 1000, (source, frames)

@@ -135,6 +135,11 @@ def test_pow_images():
         pow_image_exp({2}, 0)
     with pytest.raises(CapacityError):
         pow_image_base(2, {10 ** 6})
+    # the value decides, not a bound on the base's bit length
+    assert pow_image_exp({1}, 10 ** 4) == {1}
+    assert pow_image_exp({1, 2}, 4095) == {1, 2 ** 4095}  # 4096 bits
+    with pytest.raises(CapacityError, match=r"^2\*\*4096 exceeds value_bit_cap 4096$"):
+        pow_image_exp({2}, 4096)
 
 
 def test_product_identities_random():
