@@ -231,9 +231,10 @@ def parse_set_spec(text: str) -> SetSpec:
     if head == "residue":
         try:
             mod_s, res_s = rest.split(":")
+            modulus, residue = int(mod_s), int(res_s)
         except ValueError as exc:
             raise DomainError(f"residue spec needs residue:M:R, got {text!r}") from exc
-        return SetSpec.residues(int(mod_s), int(res_s), window)
+        return SetSpec.residues(modulus, residue, window)
     if head == "explicit":
         try:
             members = [int(v) for v in rest.split(",") if v != ""]

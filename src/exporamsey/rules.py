@@ -24,12 +24,15 @@ compiles once into one function of n; no source text is generated or
 `eval`ed.  Parentheses, function arguments and unary operators may nest,
 and the rule's tree may grow (also through chains of binary operators), at
 most _MAX_RULE_DEPTH levels deep; a deeper rule is a RuleSyntaxError at the
-token that passes the limit.
+token that passes the limit.  An INT is a run of decimal digits; one
+longer than int() converts (sys.get_int_max_str_digits(), 4300 by default
+since Python 3.11 and 3.10.7) is a RuleSyntaxError at its first digit.
 """
 
 from __future__ import annotations
 
 import ast
+import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -63,9 +66,9 @@ def _tokenize(source: str) -> list[tuple[str, str, int]]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < len(source) and source[j].isdigit():
+            while j < len(source) and source[j].isdecimal():
                 j += 1
             tokens.append(("int", source[i:j], i))
             i = j
@@ -175,7 +178,11 @@ class _Parser:
 
     def atom(self, kind: str, val: str, at: int) -> tuple[ast.expr, int]:
         if kind == "int":
-            return _const(int(val)), 0
+            try:
+                return _const(int(val)), 0
+            except ValueError:  # more digits than int() converts
+                raise RuleSyntaxError(f"integer literal longer than "
+                                      f"{sys.get_int_max_str_digits()} digits", at) from None
         if val == "n":
             return _name("n"), 0
         if val == "(":

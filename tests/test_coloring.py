@@ -258,9 +258,17 @@ def test_dimacs_roundtrip_k3():
     _, clauses, _ = parse_dimacs(export_dimacs(h, 3))
     for assign in itertools.product(range(3), repeat=nv):
         true_vars = {i * 3 + c + 1 for i, c in enumerate(assign)}
-        col = Coloring(k=3, colors=assign)
+        col = decode_true_vars(h, 3, true_vars)
+        assert col == Coloring(k=3, colors=assign)
         sat = cnf_satisfied(clauses, true_vars)
         assert sat == (check_coloring(h, col) == [])
+    # a vertex with no true color variable, or with two, decodes to no coloring
+    last = nv - 1
+    one_each = {i * 3 + 1 for i in range(nv)}
+    for true_vars, count in ((one_each - {last * 3 + 1}, 0), (one_each | {last * 3 + 2}, 2)):
+        with pytest.raises(DomainError) as err:
+            decode_true_vars(h, 3, true_vars)
+        assert str(err.value) == f"assignment gives vertex {last} {count} colors"
 
 
 def _random_hypergraph(rng, nv, n_edges, caps):

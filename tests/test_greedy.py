@@ -130,6 +130,13 @@ ABOVE_FOUR = SetSpec.residues(1, 0, window=(5, 50))
     (greedy_fe1, EVENS, 2, (2, 10 ** 4), Caps(),
      {"step": 2, "reason": "empty intersection"}),
     (greedy_fe2, EVENS, 2, (2, 100), Caps(), (2, 4, 6)),
+    (greedy_fe1, ALL, 1, (2, 100), Caps(exp_bit_cap=1),
+     {"step": 1, "reason": "capacity", "detail": "1 tower elements dropped"}),
+    (greedy_fe2, ALL, 1, (2, 100), Caps(exp_bit_cap=1),
+     {"step": 1, "reason": "capacity", "detail": "1 tower elements dropped"}),
+    # x_0 is looked for from 2 up, whatever the window's lower end
+    (greedy_fe1, ALL, 1, (0, 100), Caps(), (2, 3)),
+    (greedy_fe2, ALL, 1, (-5, 100), Caps(), (2, 3)),
 ])
 def test_greedy_fe_outcomes_pinned(run, spec, depth, window, caps, expected):
     got = run(spec, depth, window, caps)
@@ -151,6 +158,10 @@ def test_certificate_verifier_detects_tampering():
     assert not verify_fe_certificate(ALL, lied)
     # certified against the wrong oracle
     assert not verify_fe_certificate(ODDS, good)
+    # one membership flag set to False
+    (pf, _), *rest = good.checked
+    unflagged = FeCertificate(good.kind, good.seeds, good.depth, ((pf, False), *rest))
+    assert not verify_fe_certificate(ALL, unflagged)
 
 
 def test_fegen1_examples():
@@ -298,6 +309,32 @@ def test_verify_fecor_inconclusive_on_window():
     rep = verify_fecor(narrow, (3, 5), (3, 5), 1)
     by_name = {c.name: c for c in rep.checks}
     assert by_name["FE1(X)"].verdict == "inconclusive"  # 3**5 = 243 > 100
+
+
+@pytest.mark.parametrize("spec, seeds, caps, expected", [
+    (ALL, (2, 3), Caps(exp_bit_cap=1), [
+        ("FS(X)", "holds", None),
+        ("FE1(X)", "inconclusive", "1 tower elements dropped"),
+        ("FP(Y)", "holds", None),
+        ("FE2(Y)", "inconclusive", "1 tower elements dropped"),
+    ]),
+    (ALL, (3, 5), Caps(value_bit_cap=3), [
+        ("FS(X)", "holds", None),
+        ("FE1(X)", "inconclusive", "value of 3^5 exceeds value_bit_cap 3"),
+        ("FP(Y)", "inconclusive", "product bit length 4 exceeds value_bit_cap 3"),
+        ("FE2(Y)", "inconclusive", "value of 5^3 exceeds value_bit_cap 3"),
+    ]),
+    # a violator met before an unevaluable element decides the check
+    (EVENS, (3, 5), Caps(value_bit_cap=3), [
+        ("FS(X)", "fails", "3"),
+        ("FE1(X)", "fails", "3"),
+        ("FP(Y)", "inconclusive", "product bit length 4 exceeds value_bit_cap 3"),
+        ("FE2(Y)", "fails", "3"),
+    ]),
+])
+def test_verify_fecor_capacity_texts_pinned(spec, seeds, caps, expected):
+    rep = verify_fecor(spec, seeds, seeds, 1, caps)
+    assert [(c.name, c.verdict, c.violator) for c in rep.checks] == expected
 
 
 def test_verify_fecor_validation():

@@ -1,6 +1,7 @@
 """Window transforms, seed searches, IP* verdicts, progression detectors."""
 
 import random
+import sys
 
 import pytest
 
@@ -270,6 +271,15 @@ def test_parse_set_spec():
         parse_set_spec("wat:1")
     with pytest.raises(DomainError):
         parse_set_spec("residue:2")
+    with pytest.raises(DomainError) as err:
+        parse_set_spec("residue:x:1")
+    assert str(err.value) == "residue spec needs residue:M:R, got 'residue:x:1'"
+    # a rule literal with more digits than int() converts, where it has a limit
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if digits:
+        with pytest.raises(RuleSyntaxError) as err:
+            parse_set_spec("rule:n + " + "1" * (digits + 1))
+        assert err.value.position == 4
 
 
 def test_complement_asks_its_inner_window():

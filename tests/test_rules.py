@@ -1,5 +1,7 @@
 """Rule-DSL parsing and evaluation semantics."""
 
+import sys
+
 import pytest
 
 from exporamsey import DomainError, RuleEvaluationError, RuleSyntaxError, parse_rule
@@ -143,10 +145,17 @@ _MALFORMED = {
     "n => 2": (2, "incomplete operator '='"),
     "n ! 2": (2, "incomplete operator '!'"),
     "n_1": (0, "unknown identifier 'n_1'"),
+    "n + \u00b2": (4, "unexpected character '\u00b2'"),  # a digit, not a decimal one
 }
+# a literal with more digits than int() converts, where it has a limit
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+if _DIGIT_LIMIT:
+    _MALFORMED["n + " + "1" * (_DIGIT_LIMIT + 1)] = (
+        4, f"integer literal longer than {_DIGIT_LIMIT} digits")
 
 
-@pytest.mark.parametrize("source", _MALFORMED)
+@pytest.mark.parametrize("source", _MALFORMED,
+                         ids=lambda s: s if len(s) <= 80 else f"{s[:8]}...({len(s)} chars)")
 def test_malformed_rules_pinned(source):
     position, message = _MALFORMED[source]
     with pytest.raises(RuleSyntaxError) as err:
