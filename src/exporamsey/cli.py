@@ -107,8 +107,6 @@ def build_parser() -> _Parser:
     p_solve = color_sub.add_parser("solve")
     add_hypergraph_source(p_solve)
     p_solve.add_argument("--k", type=int, default=2)
-    p_solve.add_argument("--method", choices=("backtracking", "exhaustive"),
-                         default="backtracking")
     p_cnf = color_sub.add_parser("export-cnf")
     add_hypergraph_source(p_cnf)
     p_cnf.add_argument("--k", type=int, default=2)
@@ -277,11 +275,11 @@ def _run_color(args, cfg: RunConfig, out) -> int:
     caps = cfg.caps
     if args.action == "solve":
         h = _hypergraph_from_args(args, caps)
-        witness = col_mod.solve_colorability(h, args.k, args.method, caps)
+        witness = col_mod.solve_colorability(h, args.k, caps=caps)
         if witness is None:
-            _dump({"status": "UNSAT", "k": args.k, "method": args.method}, out)
+            _dump({"status": "UNSAT", "k": args.k, "method": "backtracking"}, out)
         else:
-            _dump({"status": "SAT", "k": args.k, "method": args.method,
+            _dump({"status": "SAT", "k": args.k, "method": "backtracking",
                    "coloring": col_mod.coloring_record(h, witness, caps)}, out)
         return EXIT_OK
     if args.action == "export-cnf":

@@ -2,15 +2,14 @@
 
 An edge is monochromatic when its deduplicated vertex set lies in one color
 cell; for an edge like (2, 2, 4) the condition is color(2) == color(4).
-The workhorse is backtracking with forward checking for every k, each color
-attempt charged to `Caps.search_budget`; the exhaustive solver is the
-independent oracle it is checked against.  `export_dimacs` bridges to
-external SAT solvers.
+The one solver is backtracking with forward checking for every k, each
+color attempt charged to `Caps.search_budget`; the tests check its witnesses
+against the independent brute-force oracle in `tests/oracles.py`.
+`export_dimacs` bridges to external SAT solvers.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -37,10 +36,6 @@ __all__ = [
     "counts_record",
     "counts_csv_rows",
 ]
-
-# k**|V| ceiling for the exhaustive solver.
-_EXHAUSTIVE_BUDGET = 1 << 24
-
 
 @dataclass(frozen=True)
 class Coloring:
@@ -71,24 +66,6 @@ def check_coloring(h: TripleHypergraph, col: Coloring) -> list[tuple[int, int, i
 
 def _constraints(edges: Iterable[tuple[int, int, int]]) -> list[tuple[int, ...]]:
     return sorted({tuple(sorted(set(e))) for e in edges})
-
-
-def _solve_exhaustive(n: int, edges: Sequence[tuple[int, int, int]], k: int) -> list[int] | None:
-    if k ** n > _EXHAUSTIVE_BUDGET:
-        raise CapacityError(f"exhaustive method budget exceeded: {k}^{n} > {_EXHAUSTIVE_BUDGET}")
-    cons = _constraints(edges)
-    if k == 2:
-        # bitmask scan: assignment x is bad iff some constraint is all-0 or
-        # all-1; constraints always have >= 2 vertices since c > a and c > b
-        masks = [sum(1 << v for v in c) for c in cons]
-        for x in range(1 << n):
-            if all(0 < (x & m) < m for m in masks):
-                return [(x >> i) & 1 for i in range(n)]
-        return None
-    for assign in itertools.product(range(k), repeat=n):
-        if all(len({assign[v] for v in c}) > 1 for c in cons):
-            return list(assign)
-    return None
 
 
 def _solve_backtracking(
@@ -197,7 +174,7 @@ def solve_constraints(
     num_vertices: int,
     edges: Sequence[tuple[int, int, int]],
     k: int,
-    method: str = "backtracking",
+    *,
     caps: Caps = DEFAULT_CAPS,
 ) -> list[int] | None:
     """SAT witness (list of colors) or None for UNSAT, on raw index triples."""
@@ -207,7 +184,7 @@ def solve_constraints(
     for e in edges:
         if any(v < 0 or v >= num_vertices for v in e):
             raise DomainError(f"edge {e} out of range")
-    return _solve(num_vertices, edges, k, method, caps)
+    return _solve_backtracking(num_vertices, edges, k, caps.search_budget)
 
 
 def _check_k(k: int) -> None:
@@ -215,19 +192,8 @@ def _check_k(k: int) -> None:
         raise DomainError(f"k must be >= 2, got {k}")
 
 
-def _solve(
-    n: int, edges: Sequence[tuple[int, int, int]], k: int, method: str, caps: Caps
-) -> list[int] | None:
-    """The named solver on edges already known to lie in range(n)."""
-    if method == "backtracking":
-        return _solve_backtracking(n, edges, k, caps.search_budget)
-    if method == "exhaustive":
-        return _solve_exhaustive(n, edges, k)
-    raise DomainError(f"unknown method {method!r}")
-
-
 def solve_colorability(
-    h: TripleHypergraph, k: int, method: str = "backtracking", caps: Caps = DEFAULT_CAPS
+    h: TripleHypergraph, k: int, *, caps: Caps = DEFAULT_CAPS
 ) -> Coloring | None:
     """Proper k-coloring of h (no monochromatic edge) or None if none exists.
 
@@ -235,7 +201,7 @@ def solve_colorability(
     `sub_hypergraph`) or by the check in `hypergraph_from_record`.
     """
     _check_k(k)
-    witness = _solve(len(h.vertices), h.edges, k, method, caps)
+    witness = _solve_backtracking(len(h.vertices), h.edges, k, caps.search_budget)
     if witness is None:
         return None
     col = Coloring(k=k, colors=tuple(witness))

@@ -64,7 +64,10 @@ def _safe_pow(base: int, exp: int) -> int:
 
 
 def _certify(spec: SetSpec, seeds, depth: int, kind: str, caps: Caps):
-    level = (fe1 if kind == "fe1" else fe2)(seeds, depth, caps)
+    try:
+        level = (fe1 if kind == "fe1" else fe2)(seeds, depth, caps)
+    except CapacityError as exc:
+        return GreedyFailure(step=depth, reason="capacity", detail=str(exc))
     if level.dropped_count > 0:
         return GreedyFailure(step=depth, reason="capacity",
                              detail=f"{level.dropped_count} tower elements dropped")
@@ -108,7 +111,10 @@ def _greedy_fe(
     for step in range(depth + 1):
         others = ()
         if step:
-            level = (fe1 if type_one else fe2)(xs, step - 1, caps)
+            try:
+                level = (fe1 if type_one else fe2)(xs, step - 1, caps)
+            except CapacityError as exc:
+                return GreedyFailure(step=step, reason="capacity", detail=str(exc))
             try:
                 if type_one:
                     n_i = max_element_value(level, caps)

@@ -284,6 +284,8 @@ def find_geometric_progressions(a: WindowSet, length: int) -> list[tuple[int, in
     """All (start, ratio) with ratio >= 2 whose first `length` terms lie in a."""
     if length < 2:
         raise DomainError("progression length must be >= 2")
+    if length - 1 >= a.hi.bit_length():
+        return []  # start * 2**(length - 1) > hi for every start >= 1
     out = []
     for start in a.sorted_members():
         if start < 1:

@@ -95,6 +95,8 @@ def ikth_root(n: int, k: int) -> int:
         raise DomainError("ikth_root requires n >= 0 and k >= 1")
     if k == 1 or n < 2:
         return n
+    if k >= n.bit_length():
+        return 1  # 2**k > n
     if k == 2:
         return math.isqrt(n)
     # Start from a power-of-two upper bound so the iteration descends.

@@ -85,7 +85,7 @@ SOLVE_RESULT = {
     "properties": {
         "status": {"enum": ["SAT", "UNSAT"]},
         "k": {"type": "integer", "minimum": 2},
-        "method": {"enum": ["backtracking", "exhaustive"]},
+        "method": {"const": "backtracking"},
         "coloring": COLORING_RECORD,
     },
 }

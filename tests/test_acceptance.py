@@ -35,7 +35,14 @@ from exporamsey.structures import pow_image_base, pow_image_exp
 from exporamsey.tower import PowerForm
 from exporamsey.triples import iter_int_triples
 
-from oracles import cnf_satisfied, fe1_oracle, fe2_oracle, parse_dimacs, triples_oracle
+from oracles import (
+    cnf_satisfied,
+    fe1_oracle,
+    fe2_oracle,
+    first_proper_coloring,
+    parse_dimacs,
+    triples_oracle,
+)
 
 # enumerate_triples(10**6) count, fixed by the double-loop oracle at first
 # run and pinned as a regression constant
@@ -115,9 +122,8 @@ def test_criterion_04_solver_oracle_agreement():
             band = min(len(h.vertices), 40)
             size = rng.randrange(3, min(19, band + 1))
             sub = sub_hypergraph(h, rng.sample(range(band), size))
-            bt = solve_constraints(len(sub.vertices), sub.edges, 2, "backtracking")
-            ex = solve_constraints(len(sub.vertices), sub.edges, 2, "exhaustive")
-            assert (bt is None) == (ex is None)
+            bt = solve_constraints(len(sub.vertices), sub.edges, 2)
+            assert bt == first_proper_coloring(len(sub.vertices), sub.edges, 2)
             if bt is not None:
                 assert check_coloring(sub, Coloring(k=2, colors=tuple(bt))) == []
             agreements += 1

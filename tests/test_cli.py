@@ -474,6 +474,13 @@ def test_removed_flags_are_usage_errors(capsys, flags):
     assert flags[0] in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("method", ["exhaustive", "backtracking"])
+def test_color_solve_has_no_method_flag(capsys, method):
+    argv = ("color", "solve", "--seeds", "2", "--depth", "2", "--method", method)
+    assert run_cli(*argv) == (3, "")
+    assert "--method" in capsys.readouterr().err
+
+
 def test_closed_stdout_exits_quietly():
     """A reader that stops early, as `| head -c 10` does, sees exit 0 and no traceback."""
     src = str(Path(exporamsey.__file__).resolve().parents[1])
@@ -494,14 +501,11 @@ def _seq(n):
 @pytest.mark.parametrize("argv, message", [
     (("closure", "--seeds", "2", "--depth", "5"), "depth 5 exceeds max_closure_depth 4"),
     (("structures", "fs", "--seeds", _seq(26)), "carrier size 26 exceeds subset guard 25"),
-    (("color", "solve", "--seeds", "2,3", "--depth", "2", "--k", "3", "--method", "exhaustive"),
-     "exhaustive method budget exceeded: 3^28 > 16777216"),
     (("greedy", "fegen1", "--spec", "all", "--y", _seq(33), "--f", "constant:2", "--steps", "1"),
      "carrier prefix length 33 exceeds block_index_limit 32"),
     (("greedy", "fe1", "--spec", "all", "--depth", "4", "--lo", "2", "--hi", "100"),
      "level maximum 1152921504606846976 exceeds greedy_base_limit"),
-], ids=["max_closure_depth", "subset_size_guard", "exhaustive_budget", "block_index_limit",
-        "greedy_base_limit"])
+], ids=["max_closure_depth", "subset_size_guard", "block_index_limit", "greedy_base_limit"])
 def test_fixed_guards_pinned(capsys, argv, message):
     """Each guard no flag can move stops the run with exit 2 at its fixed value."""
     code, out = run_cli(*argv)

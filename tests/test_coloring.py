@@ -72,10 +72,9 @@ def test_check_uses_deduplicated_vertex_set():
 
 def test_solve_examples():
     h = closure2()
-    for method in ("backtracking", "exhaustive"):
-        col = solve_colorability(h, 2, method)
-        assert col is not None
-        assert check_coloring(h, col) == []
+    col = solve_colorability(h, 2)
+    assert list(col.colors) == first_proper_coloring(len(h.vertices), h.edges, 2)
+    assert check_coloring(h, col) == []
     h1 = exp_closure({2}, 1)
     assert solve_colorability(h1, 2) is not None
     h0 = exp_closure({3}, 0)
@@ -84,22 +83,24 @@ def test_solve_examples():
 
 def test_solve_budget_and_validation():
     h = closure2()
-    with pytest.raises(CapacityError, match="exhaustive"):
-        solve_constraints(25, [], 2, "exhaustive")  # 2^25 > 2^24
     with pytest.raises(DomainError):
         solve_colorability(h, 1)
-    with pytest.raises(DomainError):
-        solve_colorability(h, 2, "quantum")
+    # caps is keyword-only: a positional argument after k is refused
+    with pytest.raises(TypeError):
+        solve_colorability(h, 2, "backtracking")
+    with pytest.raises(TypeError):
+        solve_constraints(4, h.edges, 2, "backtracking")
 
 
 def test_solver_unsat_on_fano_plane():
     # the Fano plane is the minimal non-2-colorable 3-uniform hypergraph
     fano = [(0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6), (2, 4, 5)]
-    assert solve_constraints(7, fano, 2, "backtracking") is None
-    assert solve_constraints(7, fano, 2, "exhaustive") is None
+    assert solve_constraints(7, fano, 2) is None
+    assert first_proper_coloring(7, fano, 2) is None
     # but it is 3-colorable
-    assert solve_constraints(7, fano, 3, "backtracking") is not None
-    assert solve_constraints(7, fano, 3, "exhaustive") is not None
+    witness = solve_constraints(7, fano, 3)
+    assert witness is not None
+    assert witness == first_proper_coloring(7, fano, 3)
 
 
 def test_solver_agreement_random_subgraphs():
@@ -109,9 +110,8 @@ def test_solver_agreement_random_subgraphs():
         h = rng.choice(universes)
         size = rng.randrange(2, min(15, len(h.vertices)) + 1)
         sub = sub_hypergraph(h, rng.sample(range(len(h.vertices)), size))
-        bt = solve_constraints(len(sub.vertices), sub.edges, 2, "backtracking")
-        ex = solve_constraints(len(sub.vertices), sub.edges, 2, "exhaustive")
-        assert (bt is None) == (ex is None)
+        bt = solve_constraints(len(sub.vertices), sub.edges, 2)
+        assert bt == first_proper_coloring(len(sub.vertices), sub.edges, 2)
         if bt is not None:
             assert check_coloring(sub, Coloring(k=2, colors=tuple(bt))) == []
 
@@ -126,9 +126,7 @@ def test_solver_agreement_dense_random_constraints():
         for _ in range(rng.randrange(n, 4 * n)):
             u, v, w = rng.sample(range(n), 3)
             edges.append((u, v, w))
-        bt = solve_constraints(n, edges, 2, "backtracking")
-        ex = solve_constraints(n, edges, 2, "exhaustive")
-        assert (bt is None) == (ex is None)
+        bt = solve_constraints(n, edges, 2)
         assert bt == first_proper_coloring(n, edges, 2)
         statuses.add(bt is None)
         if bt is not None:
@@ -140,7 +138,7 @@ def test_solver_agreement_dense_random_constraints():
 @pytest.mark.parametrize("k, max_n, seed, density, pairs", [(3, 11, 7, 1, 0.6), (4, 8, 8, 2, 0.8)])
 def test_solver_agreement_dense_random_constraints_many_colors(k, max_n, seed, density, pairs):
     # edges (u, u, w) make a graph part: K_{k+1} in it is UNSAT on its own;
-    # k**n stays under the exhaustive solver's 2^24
+    # k**n stays small enough for the brute-force oracle
     rng = random.Random(seed)
     statuses = set()
     for _ in range(24):
@@ -149,9 +147,7 @@ def test_solver_agreement_dense_random_constraints_many_colors(k, max_n, seed, d
         for _ in range(rng.randrange(density * n, (density + 4) * n)):
             u, v, w = rng.sample(range(n), 3)
             edges.append((u, u, w) if rng.random() < pairs else (u, v, w))
-        bt = solve_constraints(n, edges, k, "backtracking")
-        ex = solve_constraints(n, edges, k, "exhaustive")
-        assert (bt is None) == (ex is None)
+        bt = solve_constraints(n, edges, k)
         # the witness is the first proper coloring in (-degree, index) order
         assert bt == first_proper_coloring(n, edges, k)
         statuses.add(bt is None)
@@ -183,8 +179,6 @@ def test_search_budget_bounds_backtracking():
     h = exp_closure({2, 3}, 3)  # 522 vertices, 4,316 edges: no end in sight at k=3
     with pytest.raises(CapacityError, match="budget"):
         solve_colorability(h, 3, caps=Caps(search_budget=1000))
-    # the exhaustive method keeps its own fixed ceiling
-    assert solve_constraints(7, fano, 3, "exhaustive", Caps(search_budget=1)) is not None
 
 
 def test_solver_agreement_three_colors():
@@ -193,9 +187,8 @@ def test_solver_agreement_three_colors():
     for _ in range(10):
         size = rng.randrange(2, 10)
         sub = sub_hypergraph(h, rng.sample(range(len(h.vertices)), size))
-        bt = solve_constraints(len(sub.vertices), sub.edges, 3, "backtracking")
-        ex = solve_constraints(len(sub.vertices), sub.edges, 3, "exhaustive")
-        assert (bt is None) == (ex is None)
+        bt = solve_constraints(len(sub.vertices), sub.edges, 3)
+        assert bt == first_proper_coloring(len(sub.vertices), sub.edges, 3)
 
 
 def test_dimacs_golden_single_edge():

@@ -137,6 +137,15 @@ ABOVE_FOUR = SetSpec.residues(1, 0, window=(5, 50))
     # x_0 is looked for from 2 up, whatever the window's lower end
     (greedy_fe1, ALL, 1, (0, 100), Caps(), (2, 3)),
     (greedy_fe2, ALL, 1, (-5, 100), Caps(), (2, 3)),
+    # a chosen seed wider than value_bit_cap, met building the next level or certifying
+    (greedy_fe1, ALL, 1, (20, 40), Caps(value_bit_cap=4),
+     {"step": 1, "reason": "capacity", "detail": "input bit length 5 exceeds value_bit_cap 4"}),
+    (greedy_fe1, ALL, 0, (20, 40), Caps(value_bit_cap=4),
+     {"step": 0, "reason": "capacity", "detail": "input bit length 5 exceeds value_bit_cap 4"}),
+    (greedy_fe2, ALL, 1, (20, 40), Caps(value_bit_cap=4),
+     {"step": 1, "reason": "capacity", "detail": "input bit length 5 exceeds value_bit_cap 4"}),
+    (greedy_fe2, ALL, 0, (20, 40), Caps(value_bit_cap=4),
+     {"step": 0, "reason": "capacity", "detail": "input bit length 5 exceeds value_bit_cap 4"}),
 ])
 def test_greedy_fe_outcomes_pinned(run, spec, depth, window, caps, expected):
     got = run(spec, depth, window, caps)

@@ -46,6 +46,10 @@ def test_transform_examples():
     d = transform(window_set(2, 20, {4, 8, 12}), "divide", 4)
     assert d.members == {1, 2, 3}
     assert (d.lo, d.hi) == (1, 5)
+    # a root order past hi's bit length leaves the window [1, 1]
+    e = transform(window_set(1, 100, {4}), "root", 10 ** 9)
+    assert (e.lo, e.hi, e.members) == (1, 1, frozenset())
+    assert transform(window_set(1, 100, {1, 4}), "root", 10 ** 9).members == {1}
 
 
 def test_transform_side_conditions():
@@ -198,6 +202,17 @@ def test_geometric_progressions_examples():
     assert find_geometric_progressions(window_set(3, 24, {3, 6, 12, 24}), 4) == [(3, 2)]
     assert find_geometric_progressions(window_set(5, 5, {5}), 2) == []
     assert find_geometric_progressions(window_set(2, 16, {2, 4, 8, 16}), 3) == [(2, 2), (4, 2)]
+
+
+def test_geometric_progressions_length_boundary():
+    # 1, 2, ..., 2**(b - 1) fits under hi with b = hi.bit_length(); one term more does not
+    for hi in (1, 2, 3, 15, 16, 17, 3000, 2 ** 12):
+        members = set(range(1, hi + 1))
+        a = window_set(1, hi, members)
+        for length in range(2, hi.bit_length() + 3):
+            assert find_geometric_progressions(a, length) == geometric_progressions_oracle(
+                members, hi, length)
+    assert find_geometric_progressions(window_set(1, 3000, set(range(1, 3001))), 10 ** 6) == []
 
 
 def test_power_progressions_examples():

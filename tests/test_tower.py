@@ -94,6 +94,13 @@ def test_ikth_root_exact():
         r = ikth_root(n, k)
         assert r ** k <= n
         assert (r + 1) ** k > n
+    # around k = n.bit_length(), from which on 2**k > n and the root is 1
+    for n in range(2, 300):
+        for k in range(max(n.bit_length() - 2, 1), n.bit_length() + 2):
+            r = ikth_root(n, k)
+            assert r ** k <= n < (r + 1) ** k
+    assert [ikth_root(2 ** 5000, k) for k in (5000, 5001)] == [2, 1]
+    assert ikth_root(100, 10 ** 9) == 1  # computes no 10**9-bit power
 
 
 def test_perfect_power_against_oracle():
