@@ -6,7 +6,7 @@ DIMACS export, windowed IP/IP* probes, and greedy oracle-driven
 constructions, all behind one CLI.
 """
 
-from .config import Caps, DEFAULT_CAPS, RunConfig
+from .config import Caps, DEFAULT_CAPS
 from .errors import (
     CapacityError,
     DomainError,

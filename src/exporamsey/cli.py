@@ -29,7 +29,7 @@ from . import ipsets as ip_mod
 from . import jsonout
 from . import structures as struct_mod
 from . import triples as tri_mod
-from .config import DEFAULT_CAPS, Caps, RunConfig
+from .config import DEFAULT_CAPS, Caps
 from .errors import (
     CapacityError,
     DomainError,
@@ -42,18 +42,10 @@ EXIT_DOMAIN = 1
 EXIT_CAPACITY = 2
 EXIT_USAGE = 3
 
-# run settings: one name each for the flag, the config key and the Caps field
+# run settings: one name each for the flag and the Caps field
 _CAP_KEYS = tuple(f.name for f in fields(Caps))
 _CAP_HELP = {"search_budget": "budget of the IP seed and greedy block searches and of the "
                               "color solve backtracking (color attempts)"}
-_FORMATS = ("json", "csv")
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
 
 
 def _int_list(text: str) -> list[int]:
@@ -67,13 +59,12 @@ def _dump(obj, stream) -> None:
     stream.write(jsonout.dumps(obj))
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="exporamsey", description=__doc__.splitlines()[0])
-    parser.add_argument("--config", help="JSON config file; explicit flags win")
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="exporamsey", description=__doc__.splitlines()[0])
     for key in _CAP_KEYS:
         parser.add_argument("--" + key.replace("_", "-"), type=int, default=None,
                             help=_CAP_HELP.get(key))
-    parser.add_argument("--format", choices=_FORMATS, default=None)
+    parser.add_argument("--format", choices=("json", "csv"), default="json")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -122,12 +113,11 @@ def build_parser() -> _Parser:
     p_ip = sub.add_parser("ip", help="window transforms, IP/IP* probes, progressions")
     ip_sub = p_ip.add_subparsers(dest="action", required=True)
 
-    def add_window_args(p, members=True):
+    def add_window_args(p):
         p.add_argument("--lo", type=int, required=True)
         p.add_argument("--hi", type=int, required=True)
-        if members:
-            p.add_argument("--members", type=_int_list)
-            p.add_argument("--spec", help="set spec to materialize on the window")
+        p.add_argument("--members", type=_int_list)
+        p.add_argument("--spec", help="set spec to materialize on the window")
 
     p_tr = ip_sub.add_parser("transform")
     add_window_args(p_tr)
@@ -164,7 +154,8 @@ def build_parser() -> _Parser:
         p.add_argument("--y", type=_int_list, required=True)
         p.add_argument("--f", required=True, help="constant:C or max-fe1/max-fe2")
         p.add_argument("--steps", type=int, required=True)
-        p.add_argument("--budget", type=int, default=None)
+        p.add_argument("--budget", type=int,
+                       help="search_budget for this search; wins over --search-budget")
     p_verify = greedy_sub.add_parser("verify")
     p_verify.add_argument("--spec", required=True)
     p_verify.add_argument("--x", type=_int_list, required=True)
@@ -181,36 +172,6 @@ def _read_json(path: str, what: str):
             return json.load(fh)
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DomainError(f"cannot read {what}: {exc}") from exc
-
-
-def _load_config(args) -> RunConfig:
-    file_values = {}
-    if args.config:
-        file_values = _read_json(args.config, f"config file {args.config}")
-        if not isinstance(file_values, dict):
-            raise DomainError("config file must hold a JSON object")
-        for key in file_values:
-            if key not in _CAP_KEYS and key != "format":
-                raise DomainError(
-                    f"unknown config key {key!r}; known keys: {', '.join(_CAP_KEYS)}, format"
-                )
-
-    def pick(key, fallback=None):  # an explicit flag wins over the config file
-        value = getattr(args, key)
-        return file_values.get(key, fallback) if value is None else value
-
-    overrides = {}
-    for key in _CAP_KEYS:
-        value = pick(key)
-        if value is None:
-            continue
-        if type(value) is not int:  # bool is not a count
-            raise DomainError(f"config value {key} must be an integer, got {value!r}")
-        overrides[key] = value
-    fmt = pick("format", "json")
-    if fmt not in _FORMATS:
-        raise DomainError(f"format must be one of {', '.join(_FORMATS)}, got {fmt!r}")
-    return RunConfig(caps=replace(DEFAULT_CAPS, **overrides), fmt=fmt)
 
 
 def _window_set_from_args(args) -> ip_mod.WindowSet:
@@ -242,15 +203,15 @@ _STRUCTURES = {
 }
 
 
-def _run_structures(args, cfg: RunConfig, out) -> int:
+def _run_structures(args, caps: Caps, out) -> int:
     kind, generate = _STRUCTURES[args.generator]
-    _dump(struct_mod.level_record(kind, args.seeds, generate(args, cfg.caps), cfg.caps), out)
+    _dump(struct_mod.level_record(kind, args.seeds, generate(args, caps), caps), out)
     return EXIT_OK
 
 
-def _run_triples(args, cfg: RunConfig, out) -> int:
-    tri_mod.check_triple_bound(args.max, cfg.caps)
-    if cfg.fmt == "csv":
+def _run_triples(args, caps: Caps, out) -> int:
+    tri_mod.check_triple_bound(args.max, caps)
+    if args.format == "csv":
         out.write("a,b,c\n")
         for a, b, c in tri_mod.iter_int_triples(args.max):
             out.write(f"{a},{b},{c}\n")
@@ -265,14 +226,13 @@ def _run_triples(args, cfg: RunConfig, out) -> int:
     return EXIT_OK
 
 
-def _run_closure(args, cfg: RunConfig, out) -> int:
-    h = tri_mod.exp_closure(args.seeds, args.depth, cfg.caps)
-    _dump(tri_mod.hypergraph_record(h, cfg.caps), out)
+def _run_closure(args, caps: Caps, out) -> int:
+    h = tri_mod.exp_closure(args.seeds, args.depth, caps)
+    _dump(tri_mod.hypergraph_record(h, caps), out)
     return EXIT_OK
 
 
-def _run_color(args, cfg: RunConfig, out) -> int:
-    caps = cfg.caps
+def _run_color(args, caps: Caps, out) -> int:
     if args.action == "solve":
         h = _hypergraph_from_args(args, caps)
         witness = col_mod.solve_colorability(h, args.k, caps=caps)
@@ -295,7 +255,7 @@ def _run_color(args, cfg: RunConfig, out) -> int:
     assert args.action == "rule-count"
     rule = col_mod.parse_rule(args.rule, args.k)
     results = col_mod.count_mono_triples_at(rule, args.max, caps)
-    if cfg.fmt == "csv":
+    if args.format == "csv":
         out.write("N,cell,count\n")
         for counts in results:
             for row in col_mod.counts_csv_rows(counts):
@@ -306,8 +266,7 @@ def _run_color(args, cfg: RunConfig, out) -> int:
     return EXIT_OK
 
 
-def _run_ip(args, cfg: RunConfig, out) -> int:
-    caps = cfg.caps
+def _run_ip(args, caps: Caps, out) -> int:
     if args.action == "transform":
         a = _window_set_from_args(args)
         result = ip_mod.transform(a, args.op, args.n)
@@ -340,8 +299,7 @@ def _run_ip(args, cfg: RunConfig, out) -> int:
     return EXIT_OK
 
 
-def _run_greedy(args, cfg: RunConfig, out) -> int:
-    caps = cfg.caps
+def _run_greedy(args, caps: Caps, out) -> int:
     spec = ip_mod.parse_set_spec(args.spec)
     if args.action in ("fe1", "fe2"):
         run = greedy_mod.greedy_fe1 if args.action == "fe1" else greedy_mod.greedy_fe2
@@ -353,7 +311,9 @@ def _run_greedy(args, cfg: RunConfig, out) -> int:
         return EXIT_CAPACITY if result.reason in ("oracle range", "capacity") else EXIT_OK
     if args.action in ("fegen1", "fegen2"):
         run = greedy_mod.search_fegen1 if args.action == "fegen1" else greedy_mod.search_fegen2
-        outcome = run(spec, args.y, args.f, args.steps, args.budget, caps)
+        if args.budget is not None:
+            caps = replace(caps, search_budget=args.budget)
+        outcome = run(spec, args.y, args.f, args.steps, caps=caps)
         _dump(greedy_mod.outcome_record(outcome), out)
         return EXIT_CAPACITY if outcome.status == "inconclusive" else EXIT_OK
     assert args.action == "verify"
@@ -365,12 +325,12 @@ def _run_greedy(args, cfg: RunConfig, out) -> int:
 
 
 @functools.cache
-def _parser() -> _Parser:
+def _parser() -> argparse.ArgumentParser:
     """The process's one parser; parse_args leaves it unchanged."""
     return build_parser()
 
 
-def _check_global_flags(parser: _Parser, argv) -> None:
+def _check_global_flags(parser: argparse.ArgumentParser, argv) -> None:
     """Name an unknown --option ahead of the subcommand in the usage error.
 
     argparse would take the option's value for the subcommand and name that.
@@ -408,8 +368,8 @@ def main(argv=None) -> int:
         # argparse exits 0 for --help; anything else is a usage error
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:
-        cfg = _load_config(args)
-        return _COMMANDS[args.command](args, cfg, sys.stdout)
+        given = {key: getattr(args, key) for key in _CAP_KEYS if getattr(args, key) is not None}
+        return _COMMANDS[args.command](args, replace(DEFAULT_CAPS, **given), sys.stdout)
     except BrokenPipeError:
         # the reader closed stdout; keep the interpreter's final flush silent
         devnull = os.open(os.devnull, os.O_WRONLY)

@@ -1,4 +1,4 @@
-"""Capacity caps and run configuration.
+"""Capacity caps: the run settings every kernel is bounded by.
 
 Every cap is artifact policy, not mathematics: the structures being probed
 are infinitary, and the caps only bound what a desk-scale run materializes.
@@ -13,7 +13,7 @@ from .errors import DomainError
 
 @dataclass(frozen=True)
 class Caps:
-    """Run settings: each field is also a global CLI flag and a config key."""
+    """Run settings: each field is also a global CLI flag of the same name."""
 
     value_bit_cap: int = 4096          # max bit length of any materialized natural
     exp_bit_cap: int = 65536           # max bit length of a power-form exponent
@@ -27,11 +27,3 @@ class Caps:
 
 
 DEFAULT_CAPS = Caps()
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One CLI invocation's resolved configuration."""
-
-    caps: Caps = DEFAULT_CAPS
-    fmt: str = "json"

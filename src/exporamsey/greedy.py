@@ -246,7 +246,6 @@ def _search_blocks(
     ys: tuple[int, ...],
     f_spec: str,
     steps: int,
-    budget: int | None,
     caps: Caps,
     multiplicative: bool,
 ) -> SearchOutcome:
@@ -259,7 +258,6 @@ def _search_blocks(
             f"carrier prefix length {len(ys)} exceeds block_index_limit {_BLOCK_INDEX_LIMIT}"
         )
     mode = _parse_f_spec(f_spec, multiplicative)
-    limit = budget if budget is not None else caps.search_budget
     explored = 0
     undecidable = 0
 
@@ -280,7 +278,7 @@ def _search_blocks(
             return None
         for block in _block_candidates(start, len(ys)):
             explored += 1
-            if explored > limit:
+            if explored > caps.search_budget:
                 raise _SearchBudget()
             x_j = _combine(ys, block, multiplicative)
             try:
@@ -328,29 +326,17 @@ def _verify_state(spec, ys, state: GreedyState, mode, caps, multiplicative: bool
 
 
 def search_fegen1(
-    spec: SetSpec,
-    ys,
-    f_spec: str,
-    steps: int,
-    budget: int | None = None,
-    caps: Caps = DEFAULT_CAPS,
+    spec: SetSpec, ys, f_spec: str, steps: int, *, caps: Caps = DEFAULT_CAPS
 ) -> SearchOutcome:
     """Additive block search: t**(sum over F) in A for t in [2, f(prefix)]."""
-    return _search_blocks(spec, tuple(ys), f_spec, steps, budget, caps,
-                          multiplicative=False)
+    return _search_blocks(spec, tuple(ys), f_spec, steps, caps, multiplicative=False)
 
 
 def search_fegen2(
-    spec: SetSpec,
-    ys,
-    f_spec: str,
-    steps: int,
-    budget: int | None = None,
-    caps: Caps = DEFAULT_CAPS,
+    spec: SetSpec, ys, f_spec: str, steps: int, *, caps: Caps = DEFAULT_CAPS
 ) -> SearchOutcome:
     """Multiplicative block search: (product over F)**t in A for t in [1, f(prefix)]."""
-    return _search_blocks(spec, tuple(ys), f_spec, steps, budget, caps,
-                          multiplicative=True)
+    return _search_blocks(spec, tuple(ys), f_spec, steps, caps, multiplicative=True)
 
 
 @dataclass(frozen=True)

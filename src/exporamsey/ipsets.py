@@ -124,9 +124,12 @@ def _seed_search(a: WindowSet, m: int, multiplicative: bool, caps: Caps) -> Seed
     budget = caps.search_budget
     examined = 0
 
+    prefix: list[int] = []
+    sums: set[int] = set()  # FS/FP of prefix; one set, grown and shrunk in place
+
     # depth-first lexicographic extension; a partial prefix is pruned as soon
     # as its own sum/product set escapes A, which preserves first-witness order
-    def extend(prefix: list[int], sums: set[int], start: int) -> tuple[int, ...] | None:
+    def extend(start: int) -> tuple[int, ...] | None:
         nonlocal examined
         if len(prefix) == m:
             return tuple(prefix)
@@ -141,13 +144,18 @@ def _seed_search(a: WindowSet, m: int, multiplicative: bool, caps: Caps) -> Seed
                 new = {x} | {s + x for s in sums}
             if not new <= a.members:
                 continue
-            got = extend(prefix + [x], sums | new, i + 1)
+            new -= sums
+            sums.update(new)
+            prefix.append(x)
+            got = extend(i + 1)
             if got is not None:
                 return got
+            prefix.pop()
+            sums.difference_update(new)
         return None
 
     try:
-        witness = extend([], set(), 0)
+        witness = extend(0)
     except _BudgetExhausted:
         return SeedSearchResult(status="inconclusive", examined=examined)
     if witness is None:

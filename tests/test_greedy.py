@@ -276,9 +276,11 @@ def test_verify_state_detects_tampering(multiplicative, ys, wrong_value, overlap
 
 
 def test_fegen_budget_inconclusive():
-    out = search_fegen1(ODDS, (1, 2, 3, 4, 5, 6), "constant:2", 3, budget=5)
+    out = search_fegen1(ODDS, (1, 2, 3, 4, 5, 6), "constant:2", 3, caps=Caps(search_budget=5))
     assert out.status == "inconclusive"
     assert out.reason == "budget exhausted"
+    with pytest.raises(TypeError):  # caps is keyword-only; no positional budget
+        search_fegen1(ODDS, (1, 2, 3, 4, 5, 6), "constant:2", 3, 5)
 
 
 def test_fegen_validation():

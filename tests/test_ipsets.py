@@ -2,6 +2,7 @@
 
 import random
 import sys
+import tracemalloc
 
 import pytest
 
@@ -166,6 +167,20 @@ def test_seed_search_budget_inconclusive():
     assert out.status == "inconclusive"
     with pytest.raises(DomainError):
         find_fs_seed(a, 0)
+
+
+def test_seed_search_memory_stays_flat():
+    """Every level of the search shares one FS set, so memory stays near the set's own size."""
+    m = 100
+    a = window_set(1, m * (m + 1) // 2, range(1, m * (m + 1) // 2 + 1))
+    tracemalloc.start()
+    try:
+        out = find_fs_seed(a, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.witness == tuple(range(1, m + 1)) and out.examined == m
+    assert peak < 8_000_000
 
 
 def test_ip_star_examples():
