@@ -18,6 +18,7 @@ before being returned.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 
@@ -209,12 +210,24 @@ def _f_value(mode: tuple[str, int], prefix: tuple[int, ...], multiplicative: boo
 
 def _combine(values, indices, multiplicative: bool) -> int:
     """Sum (additive) or product (multiplicative) of values[i] over indices."""
+    # loops: sum and math.prod over a generator take about 2.5x as long here
     if multiplicative:
-        v = 1  # a loop: math.prod over a generator takes about 2.5x as long here
+        v = 1
         for i in indices:
             v *= values[i]
         return v
-    return sum(values[i] for i in indices)
+    v = 0
+    for i in indices:
+        v += values[i]
+    return v
+
+
+def _subset_values(xs, base: int, multiplicative: bool) -> list[int]:
+    """values[mask]: base times (or plus) xs[i] for each set bit i of mask, by doubling."""
+    values = [base]
+    for x in xs:
+        values += [v * x for v in values] if multiplicative else [v + x for v in values]
+    return values
 
 
 def _families_hold(spec: SetSpec, xs, level_max, multiplicative: bool) -> bool:
@@ -222,21 +235,33 @@ def _families_hold(spec: SetSpec, xs, level_max, multiplicative: bool) -> bool:
 
     With v the sum (or product, if multiplicative) of xs over F and l the
     level_max of min F: t**v in A for t in [2, l], or v**t in A for t in [1, l].
+    Families come in mask order (bit i of the mask puts index i < j in F).
+    v combines an entry of a table over the low half of those indices with
+    one over the high half and j, so the tables hold about 2**(j/2) values
+    each where one table over all of them would hold 2**j.
     """
     j = len(xs) - 1
-    for mask in range(1 << j):
-        family = [i for i in range(j) if mask >> i & 1] + [j]
-        v = _combine(xs, family, multiplicative)
-        for t in range(1 if multiplicative else 2, level_max[family[0]] + 1):
-            if not spec.contains(_safe_pow(v, t) if multiplicative else _safe_pow(t, v)):
-                return False
+    half = j // 2
+    low = _subset_values(xs[:half], 1 if multiplicative else 0, multiplicative)
+    high = _subset_values(xs[half:j], xs[j], multiplicative)
+    first = 1 if multiplicative else 2
+    mask = 0
+    for hv in high:
+        for lv in low:
+            v = hv * lv if multiplicative else hv + lv
+            least = (mask & -mask).bit_length() - 1 if mask else j
+            for t in range(first, level_max[least] + 1):
+                if not spec.contains(_safe_pow(v, t) if multiplicative else _safe_pow(t, v)):
+                    return False
+            mask += 1
     return True
 
 
-def _block_candidates(start: int, n: int) -> list[tuple[int, ...]]:
-    pool = range(start, n)
+def _block_candidates(n: int) -> list[tuple[int, ...]]:
+    """Every block of up to _BLOCK_SIZE_LIMIT indices below n, in lexicographic
+    order, so the blocks whose least index is s or more form a suffix."""
     combos = itertools.chain.from_iterable(
-        itertools.combinations(pool, size) for size in range(1, _BLOCK_SIZE_LIMIT + 1)
+        itertools.combinations(range(n), size) for size in range(1, _BLOCK_SIZE_LIMIT + 1)
     )
     return sorted(combos)
 
@@ -258,6 +283,7 @@ def _search_blocks(
             f"carrier prefix length {len(ys)} exceeds block_index_limit {_BLOCK_INDEX_LIMIT}"
         )
     mode = _parse_f_spec(f_spec, multiplicative)
+    candidates = _block_candidates(len(ys))
     explored = 0
     undecidable = 0
 
@@ -276,7 +302,7 @@ def _search_blocks(
         if f_j is None:
             undecidable += 1
             return None
-        for block in _block_candidates(start, len(ys)):
+        for block in itertools.islice(candidates, bisect.bisect_left(candidates, (start,)), None):
             explored += 1
             if explored > caps.search_budget:
                 raise _SearchBudget()

@@ -39,6 +39,15 @@ def window_set(lo: int, hi: int, members: Iterable[int]) -> WindowSet:
     return WindowSet(lo=lo, hi=hi, members=frozenset(members))
 
 
+def _window_unchecked(lo: int, hi: int, members: frozenset[int]) -> WindowSet:
+    """A WindowSet built without checks, for members the caller drew from [lo, hi]."""
+    a = object.__new__(WindowSet)
+    object.__setattr__(a, "lo", lo)
+    object.__setattr__(a, "hi", hi)
+    object.__setattr__(a, "members", members)
+    return a
+
+
 def _ilog_floor(x: int, base: int) -> int:
     """Largest m >= 0 with base**m <= x; -1 when x < 1."""
     if x < 1:
@@ -101,7 +110,7 @@ def transform(a: WindowSet, op: str, n: int) -> WindowSet:
     lo = max(lo, 0)
     if hi < lo:
         return WindowSet(lo=0, hi=0, members=frozenset())
-    return WindowSet(lo=lo, hi=hi, members=frozenset(m for m in range(lo, hi + 1) if member(m)))
+    return _window_unchecked(lo, hi, frozenset(m for m in range(lo, hi + 1) if member(m)))
 
 
 @dataclass(frozen=True)
@@ -113,10 +122,6 @@ class SeedSearchResult:
     examined: int = 0
 
 
-class _BudgetExhausted(Exception):
-    pass
-
-
 def _seed_search(a: WindowSet, m: int, multiplicative: bool, caps: Caps) -> SeedSearchResult:
     if m < 1:
         raise DomainError("seed size must be >= 1")
@@ -124,42 +129,36 @@ def _seed_search(a: WindowSet, m: int, multiplicative: bool, caps: Caps) -> Seed
     budget = caps.search_budget
     examined = 0
 
-    prefix: list[int] = []
-    sums: set[int] = set()  # FS/FP of prefix; one set, grown and shrunk in place
-
-    # depth-first lexicographic extension; a partial prefix is pruned as soon
-    # as its own sum/product set escapes A, which preserves first-witness order
-    def extend(start: int) -> tuple[int, ...] | None:
-        nonlocal examined
-        if len(prefix) == m:
-            return tuple(prefix)
+    # depth-first lexicographic extension on an explicit stack: chosen holds,
+    # per prefix element, its index and the sums it added to the one shared
+    # FS/FP set.  A partial prefix is pruned as soon as its own sum/product set
+    # escapes A, which preserves first-witness order.
+    chosen: list[tuple[int, set[int]]] = []
+    sums: set[int] = set()
+    start = 0
+    while len(chosen) < m:
         for i in range(start, len(members)):
             x = members[i]
             examined += 1
             if examined > budget:
-                raise _BudgetExhausted()
+                return SeedSearchResult(status="inconclusive", examined=examined)
             if multiplicative:
                 new = {x} | {s * x for s in sums}
             else:
                 new = {x} | {s + x for s in sums}
-            if not new <= a.members:
-                continue
-            new -= sums
-            sums.update(new)
-            prefix.append(x)
-            got = extend(i + 1)
-            if got is not None:
-                return got
-            prefix.pop()
+            if new <= a.members:
+                new -= sums
+                sums.update(new)
+                chosen.append((i, new))
+                start = i + 1
+                break
+        else:  # no member extends this prefix: drop its last element
+            if not chosen:
+                return SeedSearchResult(status="none", examined=examined)
+            i, new = chosen.pop()
             sums.difference_update(new)
-        return None
-
-    try:
-        witness = extend(0)
-    except _BudgetExhausted:
-        return SeedSearchResult(status="inconclusive", examined=examined)
-    if witness is None:
-        return SeedSearchResult(status="none", examined=examined)
+            start = i + 1
+    witness = tuple(members[j] for j, _ in chosen)
     return SeedSearchResult(status="found", witness=witness, examined=examined)
 
 
@@ -214,7 +213,21 @@ class SetSpec:
         return self.test(n)
 
     def materialize(self, lo: int, hi: int) -> WindowSet:
-        return window_set(lo, hi, (n for n in range(lo, hi + 1) if self.contains(n)))
+        """The members in [lo, hi], with the errors of asking contains(n) for
+        n = lo, ..., hi in turn; the window is checked once, not per n."""
+        if lo > hi:
+            raise DomainError(f"invalid window [{lo}, {hi}]")
+        if lo < 0:
+            raise DomainError("membership is defined on the naturals")
+        top = hi
+        if self.window is not None:
+            if not self.window[0] <= lo <= self.window[1]:
+                raise OracleRangeError(lo)
+            top = min(hi, self.window[1])
+        members = frozenset(filter(self.test, range(lo, top + 1)))
+        if top < hi:
+            raise OracleRangeError(top + 1)
+        return _window_unchecked(lo, hi, members)
 
 
 def parse_set_spec(text: str) -> SetSpec:
@@ -278,7 +291,8 @@ def is_ip_star_window(
     if kind not in ("additive", "multiplicative"):
         raise DomainError(f"kind must be additive or multiplicative, got {kind!r}")
     lo, hi = window
-    complement = window_set(lo, hi, (n for n in range(lo, hi + 1) if not spec.contains(n)))
+    inside = spec.materialize(lo, hi).members
+    complement = _window_unchecked(lo, hi, frozenset(range(lo, hi + 1)).difference(inside))
     search = find_fp_seed if kind == "multiplicative" else find_fs_seed
     result = search(complement, m, caps)
     if result.status == "found":
@@ -288,16 +302,23 @@ def is_ip_star_window(
     return IpStarVerdict(verdict="inconclusive")
 
 
+def _members_between(a: WindowSet, first: int, last: int) -> list[int]:
+    """Members of a in [first, last], ascending, from whichever is smaller: the
+    range or the member set."""
+    if last - first < len(a.members):
+        return [n for n in range(first, last + 1) if n in a.members]
+    return sorted(n for n in a.members if first <= n <= last)
+
+
 def find_geometric_progressions(a: WindowSet, length: int) -> list[tuple[int, int]]:
-    """All (start, ratio) with ratio >= 2 whose first `length` terms lie in a."""
+    """All (start, ratio) with ratio >= 2 whose first `length` terms lie in a.
+
+    Only starts up to hi / 2**(length - 1) can have a last term inside the window.
+    """
     if length < 2:
         raise DomainError("progression length must be >= 2")
-    if length - 1 >= a.hi.bit_length():
-        return []  # start * 2**(length - 1) > hi for every start >= 1
     out = []
-    for start in a.sorted_members():
-        if start < 1:
-            continue
+    for start in _members_between(a, max(a.lo, 1), a.hi >> (length - 1)):
         h = 2
         while start * h ** (length - 1) <= a.hi:
             if all(start * h ** i in a.members for i in range(length)):
@@ -307,16 +328,14 @@ def find_geometric_progressions(a: WindowSet, length: int) -> list[tuple[int, in
 
 
 def find_power_progressions(a: WindowSet, length: int) -> list[int]:
-    """All h >= 2 with h, h**2, ..., h**length all members of a."""
+    """All h >= 2 with h, h**2, ..., h**length all members of a.
+
+    Only bases up to hi**(1 / length) can have h**length inside the window.
+    """
     if length < 2:
         raise DomainError("progression length must be >= 2")
-    out = []
-    for h in a.sorted_members():
-        if h < 2:
-            continue
-        if all(h ** i in a.members for i in range(1, length + 1)):
-            out.append(h)
-    return out
+    return [h for h in _members_between(a, max(a.lo, 2), ikth_root(a.hi, length))
+            if all(h ** i in a.members for i in range(2, length + 1))]
 
 
 def windowset_record(a: WindowSet) -> dict:

@@ -1,5 +1,6 @@
 """Greedy recurrences, block searches, and certificate verification."""
 
+import hashlib
 import random
 from dataclasses import replace
 
@@ -387,3 +388,46 @@ def test_random_small_universes_agree_with_bruteforce():
                 spec.contains(j ** m) for j in range(2, n0 + 1)
             )
             assert not ok
+
+
+# Every membership query the block search and its re-verification make, in
+# order, pinned by count and by the sha256 of the values in hex: a success,
+# a failure, windowed specs (OracleRangeError) and carriers whose sums are too
+# wide for a query (_safe_pow's CapacityError), each counted as undecidable.
+@pytest.mark.parametrize("search, member, window, ys, f_spec, steps, outcome, count, digest", [
+    (search_fegen1, lambda n: n % 2 == 0 or n % 3 == 0, None, (1, 2, 3, 4), "constant:3", 2,
+     ("success", 2, ""), 12, "753a49b8e039759a"),
+    (search_fegen1, lambda n: n % 7 != 1, None, (1, 2, 3, 4, 5, 6), "constant:3", 3,
+     ("failure", 159, "no valid block choice"), 321, "abf30f7473ffb560"),
+    (search_fegen1, lambda n: n % 7 != 1, None, (1, 2, 3, 4, 5), "max-fe1", 3,
+     ("inconclusive", 69, "oracle range on 9 candidates"), 130, "db64eec77be95ef1"),
+    (search_fegen2, lambda n: n % 2 == 1, None, (2, 3, 5, 7), "constant:3", 3,
+     ("success", 11, ""), 50, "d21675f39ca32057"),
+    (search_fegen1, lambda n: n % 11 != 5, None, (1, 2, 3, 4, 5, 6, 7), "constant:2", 5,
+     ("success", 209, ""), 789, "61df65141504c60a"),
+    (search_fegen2, lambda n: n % 8 != 7, None, (1, 3, 5, 7, 9, 11, 13), "constant:2", 5,
+     ("success", 6, ""), 129, "6bf9577f0345bb5a"),
+    # the f value of min F, not of another member of F, bounds t
+    (search_fegen1, lambda n: n % 7 != 3, None, (1, 2, 3, 4), "max-fe1", 3,
+     ("success", 16, ""), 32, "8ff02f0a20c6d4a2"),
+    (search_fegen2, lambda n: n % 3 != 2, None, (3, 4, 5, 7), "max-fe2", 3,
+     ("success", 5, ""), 150, "77819b569f4f35b5"),
+    (search_fegen2, lambda n: n % 4 != 3, None, (3, 5, 7, 9), "constant:2", 2,
+     ("success", 4, ""), 14, "74d35fcf62655f15"),
+    (search_fegen1, lambda n: n % 5 != 0, (1, 20), (1, 2, 3, 4), "constant:3", 2,
+     ("inconclusive", 25, "oracle range on 23 candidates"), 15, "3c1d67899763d0a8"),
+    (search_fegen2, lambda n: n % 4 != 2, (1, 40), (2, 3, 5, 7), "constant:2", 2,
+     ("inconclusive", 19, "oracle range on 12 candidates"), 19, "cb37fc86e1d4e422"),
+    (search_fegen1, lambda n: n % 2 == 0, None, (2 ** 21 + 1, 1, 2, 3), "constant:2", 2,
+     ("success", 10, ""), 6, "8cf5caea573292ae"),
+    (search_fegen1, lambda n: n % 3 != 0, None, (1, 2 ** 21, 2, 4), "constant:3", 3,
+     ("inconclusive", 15, "oracle range on 7 candidates"), 16, "edde924ccc3040f2"),
+])
+def test_block_search_queries_pinned(search, member, window, ys, f_spec, steps, outcome,
+                                     count, digest):
+    asked = []
+    spy = SetSpec(window, lambda n: asked.append(n) or member(n))
+    out = search(spy, ys, f_spec, steps)
+    assert (out.status, out.explored, out.reason) == outcome
+    text = ",".join(format(n, "x") for n in asked)
+    assert (len(asked), hashlib.sha256(text.encode()).hexdigest()[:16]) == (count, digest)

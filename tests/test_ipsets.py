@@ -1,5 +1,6 @@
 """Window transforms, seed searches, IP* verdicts, progression detectors."""
 
+import inspect
 import random
 import sys
 import tracemalloc
@@ -23,6 +24,7 @@ from exporamsey import (
     window_set,
 )
 from exporamsey.ipsets import windowset_record
+from exporamsey.tower import ikth_root
 
 from oracles import (
     fp_oracle,
@@ -183,6 +185,27 @@ def test_seed_search_memory_stays_flat():
     assert peak < 8_000_000
 
 
+def test_seed_search_depth_does_not_recurse():
+    """A seed larger than the recursion limit: the search keeps an explicit stack."""
+    m = 300
+    full = window_set(1, m * (m + 1) // 2, range(1, m * (m + 1) // 2 + 1))
+    # x_0 = 1 fails with every later member (1 + even is odd), so the search
+    # backtracks once and then takes (2, 4, ..., 2m)
+    evens = window_set(1, 2 * m * m, {1} | set(range(2, 2 * m * m + 1, 2)))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 50)
+    try:
+        out = find_fs_seed(full, m)
+        even = find_fs_seed(evens, m)
+        tight = find_fs_seed(full, m, Caps(search_budget=m - 1))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (out.status, out.witness, out.examined) == ("found", tuple(range(1, m + 1)), m)
+    assert even.witness == tuple(range(2, 2 * m + 1, 2))
+    assert even.examined == 1 + m * m + m
+    assert (tight.status, tight.examined) == ("inconclusive", m)
+
+
 def test_ip_star_examples():
     evens = SetSpec.residues(2, 0)
     # the complement (odds) has no all-odd FS pair: odd + odd is even
@@ -265,6 +288,37 @@ def test_progressions_against_oracle():
         assert find_power_progressions(a, k) == power_progressions_oracle(members, k)
 
 
+def test_progressions_random_windows_against_oracle():
+    """Windows starting at 0, 1, 2 and above the base bound hi**(1/length)."""
+    rng = random.Random(67)
+    for _ in range(60):
+        hi = rng.choice((rng.randrange(1, 200), rng.randrange(200, 10 ** 5 + 1)))
+        length = rng.randrange(2, 7)
+        lo = rng.choice((0, 1, 2, min(ikth_root(hi, length) + rng.randrange(1, 4), hi)))
+        members = set(rng.sample(range(lo, hi + 1), min(hi + 1 - lo, rng.randrange(20, 2000))))
+        # salt in real progressions so matches are not vanishingly rare
+        for _ in range(5):
+            start, h = rng.randrange(1, 10), rng.randrange(2, 8)
+            members |= {start * h ** i for i in range(length + 1)
+                        if lo <= start * h ** i <= hi}
+            members |= {h ** i for i in range(1, length + 1) if lo <= h ** i <= hi}
+        a = window_set(lo, hi, members)
+        assert find_geometric_progressions(a, length) == geometric_progressions_oracle(
+            members, hi, length)
+        assert find_power_progressions(a, length) == power_progressions_oracle(members, length)
+    full = window_set(0, 3000, range(3001))
+    for length in (10 ** 6, 10 ** 30):
+        assert find_geometric_progressions(full, length) == []
+        assert find_power_progressions(full, length) == []
+    # bases past the root bound are members but have no power in the window
+    assert find_power_progressions(window_set(2, 100, {2, 4, 8, 50, 100}), 2) == [2]
+    # a few members in a huge window: the scan runs over the members, not the bounds
+    sparse = window_set(0, 10 ** 30, {4, 16, 64, 10 ** 20})
+    assert find_power_progressions(sparse, 3) == [4]
+    sparse = window_set(0, 10 ** 12, {3, 6, 12, 24, 48, 96, 10 ** 11})
+    assert find_geometric_progressions(sparse, 6) == [(3, 2)]
+
+
 def test_set_spec_kinds():
     explicit = SetSpec.explicit({2, 4, 8})
     assert explicit.contains(4) and not explicit.contains(5)
@@ -285,6 +339,44 @@ def test_set_spec_window_enforced():
         spec.contains(101)
     mat = spec.materialize(1, 20)
     assert mat.members == {n for n in range(1, 21) if n % 2 == 0}
+
+
+@pytest.mark.parametrize("spec, lo, hi, kind, message", [
+    ("all", -1, 5, DomainError, "membership is defined on the naturals"),
+    ("all", 5, 2, DomainError, "invalid window [5, 2]"),
+    ("all", -1, -5, DomainError, "invalid window [-1, -5]"),
+    ("residue:2:0@10..20", 5, 15, OracleRangeError, "membership undecidable for 5"),
+    ("residue:2:0@10..20", 12, 30, OracleRangeError, "membership undecidable for 21"),
+    ("residue:2:0@10..20", 25, 30, OracleRangeError, "membership undecidable for 25"),
+    ("residue:2:0@10..5", 7, 8, OracleRangeError, "membership undecidable for 7"),
+    # the rule fails at n = 30, inside the window, before the window ends at 35
+    ("rule:n / (n - 30)@1..35", 2, 40, RuleEvaluationError,
+     "rule evaluation failed at n=30: division by zero"),
+    # the inner window is asked through the complement, whichever is narrower
+    ("complement:residue:2:0@1..10@1..100", 1, 50, OracleRangeError,
+     "membership undecidable for 11"),
+    ("complement:residue:2:0@1..10@1..100", 1, 200, OracleRangeError,
+     "membership undecidable for 11"),
+    ("complement:residue:2:0@1..100@1..10", 1, 50, OracleRangeError,
+     "membership undecidable for 11"),
+])
+def test_materialize_errors_pinned(spec, lo, hi, kind, message):
+    spec = parse_set_spec(spec)
+    # the IP* probe builds its complement from the same scan
+    for ask in (lambda: spec.materialize(lo, hi),
+                lambda: is_ip_star_window(spec, "additive", 1, (lo, hi))):
+        with pytest.raises(kind) as err:
+            ask()
+        assert type(err.value) is kind and str(err.value) == message
+
+
+def test_materialize_matches_contains():
+    for text, lo, hi in (("residue:3:1@4..30", 4, 30), ("rule:n % 5 == 2", 0, 40),
+                         ("complement:explicit:2,3,9@0..9", 0, 9), ("all", 7, 7)):
+        spec = parse_set_spec(text)
+        a = spec.materialize(lo, hi)
+        assert (a.lo, a.hi) == (lo, hi)
+        assert a.members == {n for n in range(lo, hi + 1) if spec.contains(n)}
 
 
 def test_parse_set_spec():
