@@ -58,9 +58,19 @@ class FeCertificate:
     checked: tuple[tuple[PowerForm, bool], ...]  # every level element, ascending
 
 
+def _int_text(x: int) -> str:
+    """x in decimal, or its bit length where the decimal passes the interpreter's
+    int-to-str digit limit."""
+    try:
+        return str(x)
+    except ValueError:
+        return f"<{x.bit_length()}-bit integer>"
+
+
 def _safe_pow(base: int, exp: int) -> int:
     if exp * base.bit_length() > _MEMBERSHIP_BIT_LIMIT:
-        raise CapacityError(f"{base}**{exp} too large for a membership query")
+        raise CapacityError(
+            f"{_int_text(base)}**{_int_text(exp)} too large for a membership query")
     return base ** exp
 
 

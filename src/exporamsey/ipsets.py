@@ -8,6 +8,7 @@ inconclusive) because no window can certify the infinitary property.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -313,17 +314,23 @@ def _members_between(a: WindowSet, first: int, last: int) -> list[int]:
 def find_geometric_progressions(a: WindowSet, length: int) -> list[tuple[int, int]]:
     """All (start, ratio) with ratio >= 2 whose first `length` terms lie in a.
 
-    Only starts up to hi / 2**(length - 1) can have a last term inside the window.
+    Only starts up to hi / 2**(length - 1) can have a last term inside the window,
+    and only ratios up to (hi / start)**(1 / (length - 1)).  Where that bound
+    exceeds the member count, the ratios come from the members start * h instead.
     """
     if length < 2:
         raise DomainError("progression length must be >= 2")
-    out = []
+    out, ms = [], None
     for start in _members_between(a, max(a.lo, 1), a.hi >> (length - 1)):
-        h = 2
-        while start * h ** (length - 1) <= a.hi:
-            if all(start * h ** i in a.members for i in range(length)):
-                out.append((start, h))
-            h += 1
+        bound = ikth_root(a.hi // start, length - 1)
+        if bound > len(a.members):
+            ms = ms or a.sorted_members()
+            multiples = ms[bisect_left(ms, 2 * start):bisect_right(ms, start * bound)]
+            hs = [m // start for m in multiples if m % start == 0]
+        else:
+            hs = range(2, bound + 1)
+        out.extend((start, h) for h in hs
+                   if all(start * h ** i in a.members for i in range(length)))
     return out
 
 

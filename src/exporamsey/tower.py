@@ -30,6 +30,15 @@ of every exact k-th power (error bound derived at _FLOAT_ROOT_BITS).  Square
 roots come from math.isqrt; `ikth_root`'s Newton iteration still runs for
 odd k when n has more than 1023 bits or its k-th root could reach
 2**_FLOAT_ROOT_BITS.
+
+Once k reaches 7 with the root below 2**64, one table lookup replaces the
+remaining root attempts.  A k-th root of a value below 2**64 is below
+2**(64/7) < 566 for every k >= 7, so _WORD_POWERS holds just the 688
+values r**k < 2**64 with k prime, 7 <= k <= 61 and r >= 2.  After
+k = 2, 3, 5 the root has no square, cube or fifth root, and never gains one
+by taking further roots, so every exponent it still has is a prime >= 7
+and its power is in the table.  No two entries collide: r**p == s**q with
+primes p != q >= 7 is a (p*q)-th power, at least 2**77.
 """
 
 from __future__ import annotations
@@ -108,6 +117,12 @@ def ikth_root(n: int, k: int) -> int:
         x = y
 
 
+_WORD = 1 << 64
+# {r**k: (r, k)} for prime 7 <= k < 64 and r**k < _WORD; see the module docstring.
+_WORD_POWERS = {r ** k: (r, k) for k in _PRIMES if 7 <= k < 64
+                for r in range(2, ikth_root(_WORD - 1, k) + 1)}
+
+
 def _prime_exponents():
     """2, 3, 5, 7, ...: the table, then odd k with no prime factor in the table.
 
@@ -136,13 +151,18 @@ def perfect_power(n: int) -> tuple[int, int] | None:
     the remaining root admits none; the accumulated exponent is then maximal,
     which makes the root automatically perfect-power-free.  A root that is
     no p-th power never becomes one by taking further roots, so no k needs
-    a second visit and composite k never succeed.
+    a second visit and composite k never succeed.  From k = 7 on, a root
+    below 2**64 finishes with lookups in _WORD_POWERS instead.
     """
     if n < 4:
         return None
     root, exp = n, 1
     for k in _prime_exponents():
         if k >= root.bit_length():  # root < 2**k, the k-th power of 2
+            break
+        if k >= 7 and root < _WORD:
+            while (t := _WORD_POWERS.get(root)) is not None:
+                root, exp = t[0], exp * t[1]
             break
         while (r := _exact_root(root, k)) is not None:
             root, exp = r, exp * k

@@ -45,16 +45,18 @@ def perfect_power_oracle(n):
     return best
 
 
-def perfect_power_table(limit):
-    """{n: (m, k)} for every perfect power n < limit, k maximal, by m**k loops.
+def perfect_power_table(limit, min_exp=2):
+    """{n: (m, k)} for every n = m**k < limit with k >= min_exp, k maximal,
+    by m**k loops.
 
     m runs upward, so the first (m, k) recorded for n has the smallest m and
-    hence the largest k.
+    hence the largest k.  The largest k of n is a multiple of any k that n
+    has, so a min_exp above 2 drops values but never changes an entry.
     """
     table = {}
     m = 2
-    while m * m < limit:
-        v, k = m * m, 2
+    while m ** min_exp < limit:
+        v, k = m ** min_exp, min_exp
         while v < limit:
             table.setdefault(v, (m, k))
             v, k = v * m, k + 1

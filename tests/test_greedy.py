@@ -17,6 +17,7 @@ from exporamsey import (
     fe2,
     greedy_fe1,
     greedy_fe2,
+    parse_set_spec,
     search_fegen1,
     search_fegen2,
     verify_fe_certificate,
@@ -24,6 +25,7 @@ from exporamsey import (
 )
 from exporamsey.greedy import (
     _parse_f_spec,
+    _safe_pow,
     _verify_state,
     certificate_record,
     failure_record,
@@ -293,6 +295,19 @@ def test_fegen_validation():
 
     with pytest.raises(CapacityError):
         search_fegen1(ALL, tuple(range(1, 40)), "constant:2", 1)
+
+
+def test_safe_pow_message_past_the_digit_limit():
+    from exporamsey import CapacityError
+
+    with pytest.raises(CapacityError, match=r"^3\*\*8388608 too large for a membership query$"):
+        _safe_pow(3, 2 ** 23)
+    # a decimal past the int-to-str digit limit is written as its bit length
+    with pytest.raises(CapacityError, match=r"^<4194305-bit integer>\*\*2 too large"):
+        _safe_pow(2 ** 2 ** 22, 2)
+    # so a carrier that wide is one undecidable candidate, not a ValueError
+    out = search_fegen2(parse_set_spec("all"), (3, 2 ** 2 ** 22, 5), "constant:1", 2)
+    assert (out.status, out.state.chosen, out.explored) == ("success", (3, 5), 4)
 
 
 def test_fegen_deterministic():

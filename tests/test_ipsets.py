@@ -315,6 +315,9 @@ def test_progressions_random_windows_against_oracle():
     # a few members in a huge window: the scan runs over the members, not the bounds
     sparse = window_set(0, 10 ** 30, {4, 16, 64, 10 ** 20})
     assert find_power_progressions(sparse, 3) == [4]
+    sparse = window_set(0, 10 ** 30, {4, 16, 64, 10 ** 5, 10 ** 10, 10 ** 15, 10 ** 20})
+    assert find_geometric_progressions(sparse, 3) == [(4, 4), (10 ** 5, 10 ** 5),
+                                                      (10 ** 10, 10 ** 5)]
     sparse = window_set(0, 10 ** 12, {3, 6, 12, 24, 48, 96, 10 ** 11})
     assert find_geometric_progressions(sparse, 6) == [(3, 2)]
 

@@ -115,6 +115,20 @@ def test_perfect_power_against_power_table():
         assert perfect_power(n) == table.get(n), n
 
 
+def test_perfect_power_word_size():
+    # every m**k < 2**64 with k >= 5, covering each value the lookup from k = 7
+    # decides; by Mihailescu's theorem m**k +- 1 is never a perfect power
+    for n, mk in perfect_power_table(1 << 64, min_exp=5).items():
+        assert perfect_power(n) == mk, n
+        assert perfect_power(n - 1) is None and perfect_power(n + 1) is None, n
+    word = 1 << 64
+    assert [perfect_power(n) for n in (word - 1, word, word + 1)] == [None, (2, 64), None]
+    assert [perfect_power(n) for n in (3 ** 40, 3 ** 41, 565 ** 7)] == [(3, 40), (3, 41), (565, 7)]
+    # from 2**64 up, with a root that drops below 2**64 partway through the loop
+    for m, k in ((5, 77), (6, 49), (2, 7 * 7 * 2)):
+        assert perfect_power(m ** k) == (m, k)
+
+
 def _power_free(rng, lo, hi):
     """An m in [lo, hi) with m = 2 mod 4: a single factor 2, so m is no perfect power."""
     return rng.randrange(lo // 4, hi // 4) * 4 + 2
