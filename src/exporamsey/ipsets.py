@@ -10,10 +10,11 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import filterfalse
 from typing import Callable, Iterable
 
 from .config import Caps, DEFAULT_CAPS
-from .errors import DomainError, OracleRangeError
+from .errors import DomainError, OracleRangeError, RuleEvaluationError
 from .rules import parse_rule
 from .tower import ikth_root
 
@@ -123,43 +124,96 @@ class SeedSearchResult:
     examined: int = 0
 
 
+# the 0/1 flag bytes of a membership pass, as the digits int(..., 2) reads
+_BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
 def _seed_search(a: WindowSet, m: int, multiplicative: bool, caps: Caps) -> SeedSearchResult:
     if m < 1:
         raise DomainError("seed size must be >= 1")
     members = a.sorted_members()
+    inside = a.members
+    n = len(members)
+    top = members[-1] if members else 0
+    descending = members[::-1]
     budget = caps.search_budget
     examined = 0
+    fits_of: dict[int, int] = {}
+
+    def added_by(x: int) -> set[int]:
+        """The sums x adds to the shared set; those it repeats are in A already."""
+        combined = map(x.__mul__ if multiplicative else x.__add__, sums)
+        new = set(filterfalse(sums.__contains__, combined))
+        if x not in sums:
+            new.add(x)
+        return new
+
+    def fits(s: int) -> int:
+        """The ranks r with members[r] + s (or * s) in A, as bits; one pass over
+        the members that can land at or below the largest one."""
+        f = fits_of.get(s)
+        if f is None:
+            if multiplicative and s == 0:
+                f = (1 << n) - 1  # x * 0 = 0, and a sum 0 is a member of A
+            else:
+                k = bisect_right(members, top // s if multiplicative else top - s)
+                combined = map(s.__mul__ if multiplicative else s.__add__, descending[n - k:])
+                flags = bytes(map(inside.__contains__, combined)).translate(_BIT_DIGITS)
+                f = int(flags, 2) if k else 0
+            fits_of[s] = f
+        return f
 
     # depth-first lexicographic extension on an explicit stack: chosen holds,
-    # per prefix element, its index and the sums it added to the one shared
-    # FS/FP set.  A partial prefix is pruned as soon as its own sum/product set
-    # escapes A, which preserves first-witness order.
-    chosen: list[tuple[int, set[int]]] = []
+    # per prefix element, its index, the sums it added to the one shared FS/FP
+    # set, and the candidate mask of the prefix before it.  A prefix's mask has
+    # bit r set iff members[r] extends it: the nearest mask built above it,
+    # ANDed with fits(s) for each sum added since.  A level tests its next
+    # member directly and builds its mask only when that test fails, so a
+    # search that keeps taking the next member builds none.  `examined` counts
+    # the members a plain scan would test, up to the one it takes.
+    chosen: list[tuple[int, set[int], int | None]] = []
     sums: set[int] = set()
+    mask: int | None = (1 << n) - 1  # every member extends the empty prefix
     start = 0
     while len(chosen) < m:
-        for i in range(start, len(members)):
-            x = members[i]
+        found = -1
+        if mask is None and start < n:
             examined += 1
             if examined > budget:
                 return SeedSearchResult(status="inconclusive", examined=examined)
-            if multiplicative:
-                new = {x} | {s * x for s in sums}
+            new = added_by(members[start])
+            if new <= inside:
+                found = start
             else:
-                new = {x} | {s + x for s in sums}
-            if new <= a.members:
-                new -= sums
-                sums.update(new)
-                chosen.append((i, new))
-                start = i + 1
-                break
+                start += 1
+                k = len(chosen) - 1
+                while chosen[k][2] is None:
+                    k -= 1
+                mask = chosen[k][2]
+                for _, added, _ in chosen[k:]:
+                    for s in added:
+                        mask &= fits(s)
+        if found < 0 and mask is not None:
+            rest = mask >> start
+            cost = (rest & -rest).bit_length() if rest else n - start
+            if examined + cost > budget:
+                return SeedSearchResult(status="inconclusive", examined=budget + 1)
+            examined += cost
+            if rest:
+                found = start + cost - 1
+                new = added_by(members[found])
+        if found >= 0:
+            sums.update(new)
+            chosen.append((found, new, mask))
+            mask = None
+            start = found + 1
         else:  # no member extends this prefix: drop its last element
             if not chosen:
                 return SeedSearchResult(status="none", examined=examined)
-            i, new = chosen.pop()
+            i, new, mask = chosen.pop()
             sums.difference_update(new)
             start = i + 1
-    witness = tuple(members[j] for j, _ in chosen)
+    witness = tuple(members[j] for j, _, _ in chosen)
     return SeedSearchResult(status="found", witness=witness, examined=examined)
 
 
@@ -199,12 +253,22 @@ class SetSpec:
 
     @staticmethod
     def from_rule(source: str, window: tuple[int, int] | None = None) -> "SetSpec":
-        rule = parse_rule(source, 2)
-        return SetSpec(window, lambda n: rule.color(n) == 1)
+        evaluate = parse_rule(source, 2).evaluate
+
+        def test(n: int) -> bool:
+            try:
+                return evaluate(n) % 2 == 1
+            except RuleEvaluationError as exc:
+                raise RuleEvaluationError(str(exc), n=n) from None
+
+        return SetSpec(window, test)
 
     @staticmethod
     def complement_of(inner: "SetSpec", window: tuple[int, int] | None = None) -> "SetSpec":
-        return SetSpec(window, lambda n: not inner.contains(n))
+        # an inner window still bounds the queries, so only a windowless
+        # inner spec is asked through its bare test
+        test = inner.test if inner.window is None else inner.contains
+        return SetSpec(window, lambda n: not test(n))
 
     def contains(self, n: int) -> bool:
         if n < 0:

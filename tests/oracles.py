@@ -282,6 +282,48 @@ def power_progressions_oracle(members, length):
     return out
 
 
+class _BudgetSpent(Exception):
+    pass
+
+
+def seed_search_oracle(members, m, multiplicative, budget):
+    """(status, witness, examined) of the lexicographically first m-set X of
+    members whose subset sums (products) all lie in members, by plain
+    recursive depth-first search.
+
+    Each candidate tested counts once in `examined`; a prefix whose own
+    subset sums leave the set is not extended.  Testing candidate budget + 1
+    stops the search: ("inconclusive", None, budget + 1).
+    """
+    xs = sorted(set(members))
+    inside = set(xs)
+    closed = fp_oracle if multiplicative else fs_oracle
+    examined = 0
+
+    def extend(prefix, start):
+        nonlocal examined
+        if len(prefix) == m:
+            return prefix
+        for i in range(start, len(xs)):
+            examined += 1
+            if examined > budget:
+                raise _BudgetSpent
+            cand = prefix + [xs[i]]
+            if closed(cand) <= inside:
+                got = extend(cand, i + 1)
+                if got is not None:
+                    return got
+        return None
+
+    try:
+        got = extend([], 0)
+    except _BudgetSpent:
+        return "inconclusive", None, budget + 1
+    if got is None:
+        return "none", None, examined
+    return "found", tuple(got), examined
+
+
 class RuleOracleError(Exception):
     """A rule oracle evaluation error; `kind` names which one."""
 

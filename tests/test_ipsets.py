@@ -31,6 +31,7 @@ from oracles import (
     fs_oracle,
     geometric_progressions_oracle,
     power_progressions_oracle,
+    seed_search_oracle,
 )
 from itertools import combinations
 
@@ -160,6 +161,51 @@ def test_seed_search_against_full_enumeration():
                 assert got_p.status == "none"
             else:
                 assert got_p.witness == want_p
+
+
+def test_seed_search_against_oracle():
+    """Status, witness and examined count equal a plain recursive search's."""
+    rng = random.Random(61)
+    specs = ["residue:2:1", "residue:3:0", "residue:4:1", "rule:n % 3", "rule:(n / 2) % 2",
+             "rule:ilog2(n + 1) % 2", "all"]
+    windows = []
+    for _ in range(24):
+        lo = rng.choice([0, 1, 2, 5])
+        hi = lo + rng.randrange(3, 50)
+        spec = parse_set_spec(rng.choice(specs))
+        dense = spec.materialize(lo, hi).members
+        windows.append((lo, hi, dense))
+        windows.append((lo, hi, frozenset(range(lo, hi + 1)) - dense))
+    for i in range(16):
+        hi = rng.randrange(10, 400)
+        sparse = {rng.randrange(hi + 1) for _ in range(rng.randrange(0, 9))}
+        windows.append((0, hi, sparse | {0, 1} if i % 2 else sparse))
+    for lo, hi, members in windows:
+        a = window_set(lo, hi, members)
+        for m in range(1, 7):
+            for multiplicative in (False, True):
+                search = find_fp_seed if multiplicative else find_fs_seed
+                for budget in (1, 5, 50, 500, 10**6):
+                    got = search(a, m, Caps(search_budget=budget))
+                    want = seed_search_oracle(members, m, multiplicative, budget)
+                    assert (got.status, got.witness, got.examined) == want, (lo, hi, m, budget)
+
+
+def test_seed_search_sparse_window_is_sized_by_members():
+    """Candidate masks run over member ranks, so a 10**30-wide window costs nothing."""
+    a = window_set(1, 10**30, {1, 2, 3, 10**29})
+    tracemalloc.start()
+    try:
+        fs = [find_fs_seed(a, m) for m in (1, 2, 3)]
+        fp = [find_fp_seed(a, m) for m in (1, 2, 3)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [(r.status, r.witness, r.examined) for r in fs] == [
+        ("found", (1,), 1), ("found", (1, 2), 2), ("none", None, 12)]
+    assert [(r.status, r.witness, r.examined) for r in fp] == [
+        ("found", (1,), 1), ("found", (1, 2), 2), ("none", None, 13)]
+    assert peak < 1_000_000
 
 
 def test_seed_search_budget_inconclusive():
@@ -354,6 +400,8 @@ def test_set_spec_window_enforced():
     ("residue:2:0@10..5", 7, 8, OracleRangeError, "membership undecidable for 7"),
     # the rule fails at n = 30, inside the window, before the window ends at 35
     ("rule:n / (n - 30)@1..35", 2, 40, RuleEvaluationError,
+     "rule evaluation failed at n=30: division by zero"),
+    ("complement:rule:n / (n - 30)", 2, 40, RuleEvaluationError,
      "rule evaluation failed at n=30: division by zero"),
     # the inner window is asked through the complement, whichever is narrower
     ("complement:residue:2:0@1..10@1..100", 1, 50, OracleRangeError,
