@@ -10,6 +10,8 @@ against the independent brute-force oracle in `tests/oracles.py`.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -17,7 +19,7 @@ from .config import Caps, DEFAULT_CAPS
 from .errors import CapacityError, DomainError, RuleEvaluationError
 from .rules import ColorRule, parse_rule  # re-exported as part of this surface
 from .triples import TripleHypergraph, check_triple_bound, iter_int_triples
-from .tower import _record_int, vertex_label
+from .tower import _record_int, ikth_root, vertex_label
 
 __all__ = [
     "Coloring",
@@ -284,25 +286,90 @@ def count_mono_triples(rule: ColorRule, n_max: int, caps: Caps = DEFAULT_CAPS) -
 def count_mono_triples_at(
     rule: ColorRule, bounds: Sequence[int], caps: Caps = DEFAULT_CAPS
 ) -> list[MonoCounts]:
-    """`count_mono_triples` at each bound, in the order given, from one pass.
+    """`count_mono_triples` at each bound, in the order given, from colour tables.
 
-    Every bound is checked first.  Bounds may repeat and come in any order:
-    one pass over the triples up to the largest takes a snapshot of the
-    counts as c passes each bound.  Each triple colours a, then b, and c
-    only when a and b match.  Only colour(2) is cached: it is the b of every
-    square (a, 2, a**2), and it is taken once, before the first triple
-    (2, 2, 4), only when that triple is counted.  Rules are pure, so when an
-    evaluation fails the current triple is coloured again, in the same
-    order, through `ColorRule.color`, whose error names the failing n.
+    Every bound is checked first; bounds may repeat and come in any order.
+    `ColorRule.colors` fills a table of colour(a) for the bases a up to
+    max(isqrt, log2) of the largest bound, in fixed-size chunks, so memory
+    stays flat up to the base cap.  For each chunk and exponent b, the c =
+    a**b of the bases a with colour(a) == colour(b) are coloured in one
+    batch, in ascending order, and each bound counts the monochromatic ones
+    up to it by bisection.  The number of triples up to a bound comes from
+    integer roots.  So the batches colour exactly the values the in-order
+    pass `_count_in_order` colours, each base once, and bounds below 4
+    colour nothing.
+
+    Rules are pure, so when an evaluation fails the in-order pass runs
+    instead.  It raises the error of the first failing n in (c, a, b) order,
+    where each triple colours a, then b, and c only when a and b match.
     """
     for n in bounds:
         check_triple_bound(n, caps)
     stops = sorted(set(bounds))
-    top = max(bounds, default=0)
+    try:
+        snapshots = _count_by_tables(rule, stops)
+    except RuleEvaluationError:
+        snapshots = _count_in_order(rule, stops)
+    out = []
+    for n in bounds:
+        cells, rb = snapshots[n]
+        out.append(MonoCounts(n_max=n, k=rule.k, per_cell=cells, total=sum(cells),
+                              rainbow=rb, triple_count=sum(cells) + rb))
+    return out
+
+
+# Bases coloured per `ColorRule.colors` call.  One chunk's lists, not the
+# bound, set the memory that rule counting takes.
+_CHUNK = 4096
+
+Snapshots = dict[int, tuple[tuple[int, ...], int]]  # bound -> (per-cell counts, rainbow count)
+
+
+def _count_by_tables(rule: ColorRule, stops: list[int]) -> Snapshots:
+    """The counts at sorted, distinct bounds, from colour tables and bisection."""
+    per_cell = [[0] * rule.k for _ in stops]  # per bound
+    top = stops[-1] if stops else 0
+    log = top.bit_length() - 1  # every b
+    roots = [0, 0] + [ikth_root(top, b) for b in range(2, log + 1)]  # the a of each b
+    last = max(roots[2], log) if top >= 4 else 1  # every a and b; below 4 there are none
+    colors = rule.colors
+    for lo in range(2, last + 1, _CHUNK):
+        hi = min(lo + _CHUNK, last + 1)
+        table = colors(range(lo, hi))  # table[a - lo] is colour(a)
+        if lo == 2:
+            exps = [0, 0] + table[: log - 1]  # exps[b] is colour(b)
+        for b in range(2, log + 1):
+            if roots[b] < lo:
+                break
+            cell = exps[b]
+            # c = a**b, ascending, for the bases a that share b's colour
+            cs = [a ** b for a, ca in zip(range(lo, min(hi, roots[b] + 1)), table) if ca == cell]
+            cs_colors = colors(cs)
+            for cells, n in zip(per_cell, stops):
+                cells[cell] += cs_colors[: bisect_right(cs, n)].count(cell)
+    return {n: (tuple(cells), _triple_count(n) - sum(cells)) for n, cells in zip(stops, per_cell)}
+
+
+def _triple_count(n: int) -> int:
+    """The number of triples (a, b, a**b) with c <= n."""
+    return sum(ikth_root(n, b) - 1 for b in range(2, n.bit_length()))
+
+
+def _count_in_order(rule: ColorRule, stops: list[int]) -> Snapshots:
+    """The counts at sorted, distinct bounds, from one pass over the triples.
+
+    The pass takes a snapshot of the counts as c passes each bound.  Each
+    triple colours a, then b, and c only when a and b match; colour(2), the
+    b of every square, is taken once, before the first triple (2, 2, 4), only
+    when that triple is counted.  When an evaluation fails, the current
+    triple is coloured again, in the same order, through `ColorRule.color`,
+    whose error names the failing n.
+    """
+    top = stops[-1] if stops else 0
     evaluate, k = rule.evaluate, rule.k
     per_cell = [0] * k
     rainbow = 0
-    snapshots = {}  # bound -> (per-cell counts, rainbow count) over the triples with c <= bound
+    snapshots = {}
     i = 0
     a, b, c = 2, 2, 4  # the first triple, which colour(2) belongs to
     try:
@@ -322,12 +389,7 @@ def count_mono_triples_at(
         raise
     for n in stops[i:]:
         snapshots[n] = (tuple(per_cell), rainbow)
-    out = []
-    for n in bounds:
-        cells, rb = snapshots[n]
-        out.append(MonoCounts(n_max=n, k=rule.k, per_cell=cells, total=sum(cells),
-                              rainbow=rb, triple_count=sum(cells) + rb))
-    return out
+    return snapshots
 
 
 def coloring_record(h: TripleHypergraph, col: Coloring, caps: Caps = DEFAULT_CAPS) -> dict:

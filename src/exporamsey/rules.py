@@ -20,10 +20,13 @@ is floor(log2 x) for x >= 1; if(c, x, y) evaluates lazily.  A rule's color
 is the expression value reduced into [0, k) by mathematical modulus.
 
 The parser builds Python `ast` nodes as it reads the rule, and the rule
-compiles once into one function of n; no source text is generated or
-`eval`ed.  Parentheses, function arguments and unary operators may nest,
-and the rule's tree may grow (also through chains of binary operators), at
-most _MAX_RULE_DEPTH levels deep; a deeper rule is a RuleSyntaxError at the
+compiles once into one function of n.  `ColorRule.colors`, which colours
+many n in one call, compiles the same tree into one list comprehension on
+its first use, so a rule that only ever calls `evaluate` (a `rule:` set
+spec) compiles once.  No source text is generated or `eval`ed.
+Parentheses, function arguments and unary operators may nest, and the
+rule's tree may grow (also through chains of binary operators), at most
+_MAX_RULE_DEPTH levels deep; a deeper rule is a RuleSyntaxError at the
 token that passes the limit.  An INT is a run of decimal digits; one
 longer than int() converts (sys.get_int_max_str_digits(), 4300 by default
 since Python 3.11 and 3.10.7) is a RuleSyntaxError at its first digit.
@@ -34,7 +37,8 @@ from __future__ import annotations
 import ast
 import sys
 from dataclasses import dataclass, field
-from typing import Callable
+from functools import cached_property
+from typing import Callable, Iterable
 
 from .errors import DomainError, RuleEvaluationError, RuleSyntaxError
 
@@ -305,27 +309,50 @@ def _binary(op: str, left: ast.expr, right: ast.expr) -> ast.expr:
     )
 
 
+def _function(param: str, body: ast.expr) -> Callable:
+    """`lambda param: body`, compiled from its `ast` tree.
+
+    No source text is generated, `eval` only runs the compiled code to make
+    the function, and the tree holds only constants, `n`, `param`, a walrus
+    temporary and helper names.
+    """
+    args = ast.arguments(posonlyargs=[], args=[_node(ast.arg, param)], kwonlyargs=[],
+                         kw_defaults=[], defaults=[])
+    lam = ast.Expression(_node(ast.Lambda, args, body))
+    return eval(compile(lam, "<rule>", "eval"), _GLOBALS)
+
+
 def _compile(body: ast.expr) -> Callable[[int], int]:
     """The function n -> value of a parsed rule, as one compiled `lambda n: ...`.
 
-    The lambda is passed to `compile()` as an `ast` tree; no source text is
-    generated, `eval` only runs the compiled code to make the function, and
-    the tree holds only constants, `n`, a walrus temporary and helper names.
     Evaluating it makes no Python call per rule node.
     """
-    args = ast.arguments(posonlyargs=[], args=[_node(ast.arg, "n")], kwonlyargs=[],
-                         kw_defaults=[], defaults=[])
-    lam = ast.Expression(_node(ast.Lambda, args, _value(body)))
-    return eval(compile(lam, "<rule>", "eval"), _GLOBALS)
+    return _function("n", _value(body))
+
+
+def _compile_colors(body: ast.expr, k: int) -> Callable[[Iterable[int]], list[int]]:
+    """The function ns -> [value(n) % k for n in ns] of a parsed rule.
+
+    One compiled list comprehension, so a batch makes no Python call per value.
+    """
+    elt = _node(ast.BinOp, _value(body), ast.Mod(), _const(k))
+    loop = ast.comprehension(target=_name("n", ast.Store), iter=_name("ns"), ifs=[],
+                             is_async=0)
+    return _function("ns", _node(ast.ListComp, elt, [loop]))
 
 
 @dataclass(frozen=True)
 class ColorRule:
-    """A parsed rule mapping each natural to a cell in [0, k)."""
+    """A parsed rule mapping each natural to a cell in [0, k).
+
+    `body` is the parsed tree that `evaluate` was compiled from; a rule built
+    from an `evaluate` alone has none.
+    """
 
     source: str
     k: int
     evaluate: Callable[[int], int] = field(repr=False, compare=False)
+    body: ast.expr | None = field(default=None, repr=False, compare=False)
 
     def color(self, n: int) -> int:
         try:
@@ -333,9 +360,22 @@ class ColorRule:
         except RuleEvaluationError as exc:
             raise RuleEvaluationError(str(exc), n=n) from None
 
+    @cached_property
+    def colors(self) -> Callable[[Iterable[int]], list[int]]:
+        """The function ns -> [self.color(n) for n in ns], made on first use.
+
+        It is compiled from `body`, or maps `evaluate` when there is none.  An
+        evaluation error leaves it without the failing n, which `color` names.
+        """
+        if self.body is None:
+            evaluate, k = self.evaluate, self.k
+            return lambda ns: [evaluate(n) % k for n in ns]
+        return _compile_colors(self.body, self.k)
+
 
 def parse_rule(source: str, k: int) -> ColorRule:
     """Parse a rule; raises RuleSyntaxError with a 0-based error offset."""
     if not isinstance(k, int) or k < 1:
         raise DomainError(f"cell count must be an integer >= 1, got {k!r}")
-    return ColorRule(source=source, k=k, evaluate=_compile(_Parser(source).parse()))
+    body = _Parser(source).parse()
+    return ColorRule(source=source, k=k, evaluate=_compile(body), body=body)

@@ -203,11 +203,15 @@ class PowerForm:
         return str(self.root) if self.exponent == 1 else f"{self.root}^{self.exponent}"
 
 
+# The slot descriptors' setters, which skip the frozen __setattr__ and its checks.
+_set_root, _set_exponent = PowerForm.root.__set__, PowerForm.exponent.__set__
+
+
 def _canonical(root: int, exponent: int) -> PowerForm:
     """A PowerForm built without checks, for a root the caller made canonical."""
     form = object.__new__(PowerForm)
-    object.__setattr__(form, "root", root)
-    object.__setattr__(form, "exponent", exponent)
+    _set_root(form, root)
+    _set_exponent(form, exponent)
     return form
 
 

@@ -33,10 +33,9 @@ from .tower import (
 # uses keep b within value_bit_cap, which is far below this.
 _TRIPLE_B_BITS = 1 << 20
 # Largest base a, about the square root of the bound on c, that the integer
-# triple kernels take.  Their time, and the memory of `enumerate_triples` and
-# of rule counting, grow with the number of bases: a bound of 10**12 (10**6
-# bases) is allowed, and 10**20 (10**10 bases) is refused before anything is
-# allocated.
+# triple kernels take.  Their time, and the memory of `enumerate_triples`,
+# grow with the number of bases: a bound of 10**12 (10**6 bases) is allowed,
+# and 10**20 (10**10 bases) is refused before anything is allocated.
 _MAX_TRIPLE_BASE = 1 << 22
 # Closure rounds allowed per run.
 _MAX_CLOSURE_DEPTH = 4
@@ -64,12 +63,16 @@ class ExpTriple:
         return f"({self.a}, {self.b}, {self.c})"
 
 
+# The slot descriptors' setters, which skip the frozen __setattr__ and its checks.
+_set_a, _set_b, _set_c = ExpTriple.a.__set__, ExpTriple.b.__set__, ExpTriple.c.__set__
+
+
 def _triple(a: PowerForm, b: PowerForm, c: PowerForm) -> ExpTriple:
     """An ExpTriple built without checks, for a triple the caller made by construction."""
     t = object.__new__(ExpTriple)
-    object.__setattr__(t, "a", a)
-    object.__setattr__(t, "b", b)
-    object.__setattr__(t, "c", c)
+    _set_a(t, a)
+    _set_b(t, b)
+    _set_c(t, c)
     return t
 
 

@@ -141,6 +141,41 @@ def triples_oracle(n):
     return out
 
 
+def mono_counts_oracle(colour, bounds):
+    """Counts of a colouring at each bound by one direct loop, or the value it fails at.
+
+    `colour(v)` is v's cell, or None where the rule fails.  Triples go in
+    (c, a, b) order; each colours a, then b, and c only when a and b agree.
+    Returns (failing value, None) at the first None, else (None, counts)
+    with one (per-cell dict, rainbow count) per bound, in the order given.
+    """
+    triples = sorted(triples_oracle(max(bounds, default=0)), key=lambda t: (t[2], t[0], t[1]))
+    mono = []  # (c, cell) of each monochromatic triple
+    rainbow = []  # c of each other triple
+    for a, b, c in triples:
+        ca, cb = colour(a), colour(b)
+        if ca is None:
+            return a, None
+        if cb is None:
+            return b, None
+        if ca == cb:
+            cc = colour(c)
+            if cc is None:
+                return c, None
+            if cc == ca:
+                mono.append((c, ca))
+                continue
+        rainbow.append(c)
+    counts = []
+    for n in bounds:
+        cells = {}
+        for c, cell in mono:
+            if c <= n:
+                cells[cell] = cells.get(cell, 0) + 1
+        counts.append((cells, sum(1 for c in rainbow if c <= n)))
+    return None, counts
+
+
 def closure_edges_oracle(pairs, value_bit_cap=4096):
     """Index triples (a, b, c) with a**value(b) == c over (root, exp) vertex pairs.
 

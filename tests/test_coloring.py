@@ -2,6 +2,8 @@
 
 import itertools
 import random
+import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -415,15 +417,61 @@ def test_count_mono_colours_two_once_per_pass():
         seen.append(n)
         return compiled(n)
 
+    def colour(v):
+        return ((v.bit_length() - 1).bit_length() - 1) % 2
+
     rule = ColorRule("ilog2(ilog2(n)) % 2", 2, evaluate)
-    counts = count_mono_triples_at(rule, [10 ** 4, 10 ** 6])
-    assert [c.triple_count for c in counts] == [len(triples_oracle(10 ** 4)),
-                                                len(triples_oracle(10 ** 6))]
-    # once up front, then only as the a of the triples (2, b, 2**b)
-    assert seen.count(2) == 1 + sum(a == 2 for a, _, _ in triples_oracle(10 ** 6))
+    for bounds in ([10 ** 4, 10 ** 6], [10 ** 6], [8], [4], [0, 3, 5]):
+        seen.clear()
+        counts = count_mono_triples_at(rule, bounds)
+        assert [c.triple_count for c in counts] == [len(triples_oracle(n)) for n in bounds]
+        # the in-order pass colours each a and b, and c when a and b agree;
+        # each base and exponent is coloured once, and c once per such triple
+        triples = triples_oracle(max(bounds))
+        once = Counter({v: 1 for a, b, _ in triples for v in (a, b)})
+        per_triple = Counter(c for a, b, c in triples if colour(a) == colour(b))
+        assert set(seen) == set(once + per_triple)
+        assert Counter(seen) <= once + per_triple
+        assert seen.count(2) == 1
     seen.clear()
-    assert count_mono_triples_at(rule, [3])[0].triple_count == 0
-    assert seen == []  # no triple, so colour(2) is not taken
+    assert count_mono_triples_at(rule, [3, 0])[0].triple_count == 0
+    assert seen == []  # no triple, so nothing is coloured
+
+
+def test_count_mono_falls_back_only_when_a_colour_fails(monkeypatch):
+    from exporamsey import coloring
+
+    fallbacks = []
+    in_order = coloring._count_in_order
+
+    def spy(rule, stops):
+        fallbacks.append(stops)
+        return in_order(rule, stops)
+
+    monkeypatch.setattr(coloring, "_count_in_order", spy)
+    # 8 fails, but up to 63 it is only the c of (2, 3, 8), whose a and b differ
+    rule = parse_rule("if(n == 8, 1 / 0, n % 2)", 2)
+    assert count_mono_triples_at(rule, [63, 10])[0].triple_count == len(triples_oracle(63))
+    assert fallbacks == []
+    with pytest.raises(RuleEvaluationError, match="at n=8:"):
+        count_mono_triples_at(rule, [64, 10])
+    assert fallbacks == [[10, 64]]
+
+
+def test_count_mono_memory_stays_flat():
+    rule = parse_rule("n % 2", 2)
+    count_mono_triples_at(rule, [100])  # compiles the batch function before measuring
+    peaks = []
+    for n in (10 ** 9, 10 ** 11):
+        tracemalloc.start()
+        try:
+            count_mono_triples_at(rule, [n])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # a table of all 3 * 10**5 more bases, or a list of the 4,000 more c with
+    # b >= 3, would add over 100 KiB
+    assert peaks[1] <= peaks[0] + 4096, peaks
 
 
 def test_coloring_record_roundtrip():

@@ -1,4 +1,4 @@
-"""Compiled rules against hand-written Python equivalents and an independent evaluator."""
+"""Compiled rules, one value or a batch at a time, against Python equivalents and oracles."""
 
 import random
 import re
@@ -6,8 +6,11 @@ import re
 import pytest
 
 from exporamsey import RuleEvaluationError, parse_rule
+from exporamsey import rules
+from exporamsey.coloring import count_mono_triples_at
+from exporamsey.rules import ColorRule
 
-from oracles import RuleOracleError, rule_oracle
+from oracles import RuleOracleError, mono_counts_oracle, rule_oracle
 
 
 def tdiv(a, b):
@@ -136,3 +139,107 @@ def test_compiled_rules_match_oracle(seed):
                 assert kinds == [exc.kind], (source, n, str(err.value))
             else:
                 assert rule.color(n) == expected, (source, n)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_batch_colors_match_color(seed):
+    rng = random.Random(f"rule-batches-{seed}")
+    for _ in range(60):
+        rule = parse_rule(render(random_tree(rng, rng.randrange(1, 7))), rng.randrange(1, 7))
+        expected = []
+        for n in range(-50, 201):
+            try:
+                expected.append(rule.color(n))
+            except RuleEvaluationError as exc:
+                # the batch fails too, without naming n
+                with pytest.raises(RuleEvaluationError) as err:
+                    rule.colors([n])
+                assert f"rule evaluation failed at n={n}: {err.value}" == str(exc)
+                expected.append(None)
+            else:
+                assert rule.colors([n]) == [expected[-1]], (rule.source, n)
+        if None not in expected:
+            assert rule.colors(range(-50, 201)) == expected, rule.source
+
+
+def test_batch_colors_compile_on_first_use(monkeypatch):
+    compiled = []
+    compile_colors = rules._compile_colors
+    monkeypatch.setattr(rules, "_compile_colors",
+                        lambda body, k: compiled.append(k) or compile_colors(body, k))
+    rule = parse_rule("ilog2(n) % 3", 3)
+    rule.evaluate(5)
+    assert compiled == []  # a rule that only evaluates compiles once
+    assert rule.colors([2, 4, 8]) == [1, 2, 0]
+    assert rule.colors(range(2, 5)) == [1, 1, 2]
+    assert compiled == [3]
+
+
+def test_batch_colors_of_a_hand_built_rule_use_its_evaluate():
+    # the source says n % 2; the batch must not re-parse it
+    rule = ColorRule("n % 2", 3, lambda n: n + 1)
+    assert rule.colors([2, 3, 4]) == [0, 1, 2]
+    assert rule.colors([]) == []
+
+
+def _from_depth(frames, fn):
+    return _from_depth(frames - 1, fn) if frames else fn()
+
+
+def test_batch_colors_at_the_depth_limit():
+    depth = rules._MAX_RULE_DEPTH
+    for source in ["(" * depth + "n" + ")" * depth, "-" * depth + "n",
+                   "if(n, " * depth + "n" + ", 0)" * depth, "n" + " / 1" * depth,
+                   "(" * (depth - 1) + "n" + " % 9)" * (depth - 1)]:
+        rule = parse_rule(source, 1000)
+        # compiled from a caller 500 frames deep, as the single-value function is
+        assert _from_depth(500, lambda: rule.colors([7, 8])) == [rule.color(7), rule.color(8)]
+
+
+def _bounds(rng):
+    """0 to 4 bounds: small, squares and cubes and their neighbours, up to 10**7."""
+    pool = list(range(21)) + [x ** e + d for x in range(2, 30) for e in (2, 3) for d in (-1, 0, 1)]
+    bounds = [rng.choice(pool) for _ in range(rng.randrange(3))]
+    if rng.random() < 0.5:
+        bounds.append(rng.randrange(10 ** rng.randrange(2, 8)))
+    if bounds and rng.random() < 0.3:
+        bounds.append(rng.choice(bounds))  # a repeat
+    rng.shuffle(bounds)
+    return bounds
+
+
+# trees that colour most bounds in several cells
+_MIXED_TREES = [("%", ("n",), ("const", 7)), ("%", ("ilog2", ("n",)), ("const", 3)),
+                ("%", ("+", ("*", ("n",), ("n",)), ("const", 1)), ("const", 7))]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_table_counts_match_direct_loop(seed):
+    rng = random.Random(f"rule-counts-{seed}")
+    for i in range(50):
+        tree = _MIXED_TREES[i % 5] if i % 5 < 3 else random_tree(rng, rng.randrange(1, 6))
+        if i % 5 == 3:  # fails at t, if the pass colours t
+            t = rng.choice([8, 16, 27, 64, 81, 100, 256, 1000, rng.randrange(2, 5000)])
+            tree = ("%", ("/", ("const", 100), ("-", ("n",), ("const", t))), ("const", 3))
+        k, bounds = rng.randrange(1, 7), _bounds(rng)
+        cache = {}
+
+        def colour(v):
+            if v not in cache:
+                try:
+                    cache[v] = rule_oracle(tree, v) % k
+                except RuleOracleError:
+                    cache[v] = None
+            return cache[v]
+
+        rule = parse_rule(render(tree), k)
+        failing, expected = mono_counts_oracle(colour, bounds)
+        if failing is not None:
+            with pytest.raises(RuleEvaluationError, match=f"at n={failing}:"):
+                count_mono_triples_at(rule, bounds)
+            continue
+        got = count_mono_triples_at(rule, bounds)
+        assert [c.n_max for c in got] == bounds
+        for counts, (cells, rainbow) in zip(got, expected):
+            assert counts.per_cell == tuple(cells.get(cell, 0) for cell in range(k)), rule.source
+            assert counts.rainbow == rainbow, rule.source

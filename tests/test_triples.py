@@ -105,6 +105,26 @@ def test_derived_forms_are_canonical():
         assert f == checked and hash(f) == hash(checked)
 
 
+def test_unchecked_builds_match_checked_ones():
+    from dataclasses import FrozenInstanceError
+
+    from exporamsey.tower import _canonical
+
+    for r, e in [(2, 1), (2, 36), (3, 4), (10, 1), (6, 1 << 70)]:
+        form = _canonical(r, e)
+        assert form == PowerForm(r, e) and hash(form) == hash(PowerForm(r, e))
+        assert repr(form) == repr(PowerForm(r, e))
+        with pytest.raises(FrozenInstanceError):
+            form.root = 5
+    a, b, c = PowerForm(2, 1), PowerForm(3, 1), PowerForm(2, 3)
+    t = triples._triple(a, b, c)
+    assert t == ExpTriple(a, b, c) and hash(t) == hash(ExpTriple(a, b, c))
+    assert (t.a, t.b, t.c) == (a, b, c) and str(t) == "(2, 3, 2^3)"
+    for name in ("a", "b", "c"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(t, name, a)
+
+
 def test_exp_triple_validation():
     with pytest.raises(DomainError):
         ExpTriple(normalize(2), normalize(2), normalize(8))
