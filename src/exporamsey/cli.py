@@ -36,6 +36,7 @@ from .errors import (
     OracleRangeError,
     WorkbenchError,
 )
+from .tower import int_text
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -290,12 +291,12 @@ def _run_ip(args, caps: Caps, out) -> int:
         a = _window_set_from_args(args)
         pairs = ip_mod.find_geometric_progressions(a, args.length)
         _dump({"length": args.length,
-               "progressions": [[str(s), str(h)] for s, h in pairs]}, out)
+               "progressions": [[int_text(s), int_text(h)] for s, h in pairs]}, out)
         return EXIT_OK
     assert args.action == "powerprog"
     a = _window_set_from_args(args)
     bases = ip_mod.find_power_progressions(a, args.length)
-    _dump({"length": args.length, "bases": [str(h) for h in bases]}, out)
+    _dump({"length": args.length, "bases": [int_text(h) for h in bases]}, out)
     return EXIT_OK
 
 

@@ -10,7 +10,6 @@ against the independent brute-force oracle in `tests/oracles.py`.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -295,13 +294,14 @@ def count_mono_triples_at(
     a**b of the bases a with colour(a) == colour(b) are coloured in one
     batch, in ascending order, and each bound counts the monochromatic ones
     up to it by bisection.  The number of triples up to a bound comes from
-    integer roots.  So the batches colour exactly the values the in-order
-    pass `_count_in_order` colours, each base once, and bounds below 4
-    colour nothing.
+    integer roots.  So the batches colour exactly the values that an
+    in-order walk of the triples by (c, a, b) colours, where each triple
+    colours a, then b, and c only when a and b match; they colour each base
+    once, and bounds below 4 colour nothing.
 
-    Rules are pure, so when an evaluation fails the in-order pass runs
-    instead.  It raises the error of the first failing n in (c, a, b) order,
-    where each triple colours a, then b, and c only when a and b match.
+    Rules are pure, so when an evaluation fails that walk,
+    `_raise_first_failure`, fails too, and its error names the first failing
+    n in (c, a, b) order.
     """
     for n in bounds:
         check_triple_bound(n, caps)
@@ -309,7 +309,8 @@ def count_mono_triples_at(
     try:
         snapshots = _count_by_tables(rule, stops)
     except RuleEvaluationError:
-        snapshots = _count_in_order(rule, stops)
+        _raise_first_failure(rule, stops[-1])
+        raise
     out = []
     for n in bounds:
         cells, rb = snapshots[n]
@@ -355,41 +356,16 @@ def _triple_count(n: int) -> int:
     return sum(ikth_root(n, b) - 1 for b in range(2, n.bit_length()))
 
 
-def _count_in_order(rule: ColorRule, stops: list[int]) -> Snapshots:
-    """The counts at sorted, distinct bounds, from one pass over the triples.
+def _raise_first_failure(rule: ColorRule, top: int) -> None:
+    """Colour the triples with c <= top in order through `ColorRule.color`.
 
-    The pass takes a snapshot of the counts as c passes each bound.  Each
-    triple colours a, then b, and c only when a and b match; colour(2), the
-    b of every square, is taken once, before the first triple (2, 2, 4), only
-    when that triple is counted.  When an evaluation fails, the current
-    triple is coloured again, in the same order, through `ColorRule.color`,
-    whose error names the failing n.
+    Each triple colours a, then b, and c only when a and b match, so the
+    first failing n raises its error; a rule that never fails returns.
     """
-    top = stops[-1] if stops else 0
-    evaluate, k = rule.evaluate, rule.k
-    per_cell = [0] * k
-    rainbow = 0
-    snapshots = {}
-    i = 0
-    a, b, c = 2, 2, 4  # the first triple, which colour(2) belongs to
-    try:
-        color2 = evaluate(2) % k if top >= 4 else None
-        for a, b, c in iter_int_triples(top):
-            while c > stops[i]:
-                snapshots[stops[i]] = (tuple(per_cell), rainbow)
-                i += 1
-            ca = evaluate(a) % k
-            if ca == (color2 if b == 2 else evaluate(b) % k) == evaluate(c) % k:
-                per_cell[ca] += 1
-            else:
-                rainbow += 1
-    except RuleEvaluationError:
-        for v in (a, b, c):
-            rule.color(v)
-        raise
-    for n in stops[i:]:
-        snapshots[n] = (tuple(per_cell), rainbow)
-    return snapshots
+    color = rule.color
+    for a, b, c in iter_int_triples(top):
+        if color(a) == color(b):
+            color(c)
 
 
 def coloring_record(h: TripleHypergraph, col: Coloring, caps: Caps = DEFAULT_CAPS) -> dict:

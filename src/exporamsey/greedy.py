@@ -26,7 +26,7 @@ from .config import Caps, DEFAULT_CAPS
 from .errors import CapacityError, DomainError, OracleRangeError
 from .ipsets import SetSpec
 from .structures import FeLevel, fe1, fe2, fs, fp, max_element_value, validate_seeds
-from .tower import PowerForm, evaluate, powerform_record, sorted_forms
+from .tower import PowerForm, evaluate, int_text, powerform_record, sorted_forms
 
 # Bit-length ceiling for integers materialized only to ask an oracle about.
 _MEMBERSHIP_BIT_LIMIT = 1 << 22
@@ -59,11 +59,10 @@ class FeCertificate:
 
 
 def _int_text(x: int) -> str:
-    """x in decimal, or its bit length where the decimal passes the interpreter's
-    int-to-str digit limit."""
+    """x in decimal, or its bit length where `int_text` cannot write it."""
     try:
-        return str(x)
-    except ValueError:
+        return int_text(x)
+    except CapacityError:
         return f"<{x.bit_length()}-bit integer>"
 
 
@@ -394,12 +393,12 @@ def _containment_check(spec: SetSpec, name: str, values) -> CheckReport:
     """Ask about values() in order: the first non-member fails the check, and a
     CapacityError or OracleRangeError met before one makes it inconclusive."""
     try:
-        for v in values():
-            if not spec.contains(v):
-                return CheckReport(name=name, verdict="fails", violator=str(v))
+        violator = next(itertools.filterfalse(spec.contains, values()), None)
     except (OracleRangeError, CapacityError) as exc:
         return CheckReport(name=name, verdict="inconclusive", violator=str(exc))
-    return CheckReport(name=name, verdict="holds")
+    if violator is None:
+        return CheckReport(name=name, verdict="holds")
+    return CheckReport(name=name, verdict="fails", violator=int_text(violator))
 
 
 def _level_values(level: FeLevel, caps: Caps):
@@ -431,7 +430,7 @@ def certificate_record(cert: FeCertificate, caps: Caps = DEFAULT_CAPS) -> dict:
     return {
         "status": "success",
         "kind": cert.kind,
-        "X": [str(x) for x in cert.seeds],
+        "X": [int_text(x) for x in cert.seeds],
         "depth": cert.depth,
         "certificate": [
             {"element": powerform_record(pf, caps), "member": flag}
@@ -449,9 +448,9 @@ def failure_record(f: GreedyFailure) -> dict:
 
 def state_record(state: GreedyState) -> dict:
     return {
-        "x": [str(v) for v in state.chosen],
+        "x": [int_text(v) for v in state.chosen],
         "blocks": [list(b) for b in state.blocks],
-        "level_max": [str(v) for v in state.level_max],
+        "level_max": [int_text(v) for v in state.level_max],
         "f_spec": state.f_spec,
         "window": list(state.window) if state.window else None,
     }

@@ -16,7 +16,7 @@ from typing import Callable, Iterable
 from .config import Caps, DEFAULT_CAPS
 from .errors import DomainError, OracleRangeError, RuleEvaluationError
 from .rules import parse_rule
-from .tower import ikth_root
+from .tower import ikth_root, int_text
 
 
 @dataclass(frozen=True)
@@ -410,18 +410,18 @@ def find_power_progressions(a: WindowSet, length: int) -> list[int]:
 
 
 def windowset_record(a: WindowSet) -> dict:
-    return {"lo": a.lo, "hi": a.hi, "members": [str(m) for m in a.sorted_members()]}
+    return {"lo": a.lo, "hi": a.hi, "members": [int_text(m) for m in a.sorted_members()]}
 
 
 def verdict_record(v: IpStarVerdict) -> dict:
     rec: dict = {"verdict": v.verdict}
     if v.witness is not None:
-        rec["witness"] = [str(x) for x in v.witness]
+        rec["witness"] = [int_text(x) for x in v.witness]
     return rec
 
 
 def seed_result_record(r: SeedSearchResult) -> dict:
     rec: dict = {"status": r.status, "examined": r.examined}
     if r.witness is not None:
-        rec["witness"] = [str(x) for x in r.witness]
+        rec["witness"] = [int_text(x) for x in r.witness]
     return rec

@@ -13,8 +13,8 @@ from typing import Iterable, Sequence
 
 from .config import Caps, DEFAULT_CAPS
 from .errors import CapacityError, DomainError
-from .tower import (PowerForm, _try_value, normalize, power, powerform_record, sorted_forms,
-                    try_evaluate)
+from .tower import (PowerForm, _try_value, int_text, normalize, power, powerform_record,
+                    sorted_forms, try_evaluate)
 
 # |X| guard for finite sums and products, whose sets have up to 2**|X| - 1 elements.
 _SUBSET_SIZE_GUARD = 25
@@ -152,7 +152,7 @@ def level_record(kind: str, seeds: Sequence[int], result, caps: Caps = DEFAULT_C
         assert isinstance(result, FeLevel)
         return {
             "kind": kind,
-            "seeds": [str(x) for x in seeds],
+            "seeds": [int_text(x) for x in seeds],
             "level": result.level,
             "elements": [powerform_record(e, caps) for e in sorted_forms(result.elements)],
             "dropped": result.dropped_count,
@@ -160,8 +160,8 @@ def level_record(kind: str, seeds: Sequence[int], result, caps: Caps = DEFAULT_C
     assert kind in ("FS", "FP")
     return {
         "kind": kind,
-        "seeds": [str(x) for x in sorted(set(seeds))],
+        "seeds": [int_text(x) for x in sorted(set(seeds))],
         "level": None,
-        "elements": [str(v) for v in sorted(result)],
+        "elements": [int_text(v) for v in sorted(result)],
         "dropped": 0,
     }

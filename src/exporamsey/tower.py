@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key, total_ordering
@@ -200,7 +201,8 @@ class PowerForm:
         return f"PowerForm({self.root}, {self.exponent})"
 
     def __str__(self) -> str:
-        return str(self.root) if self.exponent == 1 else f"{self.root}^{self.exponent}"
+        root = int_text(self.root)
+        return root if self.exponent == 1 else f"{root}^{int_text(self.exponent)}"
 
 
 # The slot descriptors' setters, which skip the frozen __setattr__ and its checks.
@@ -365,13 +367,26 @@ def _settle_ties(out: list[PowerForm], start: int, stop: int) -> None:
         out[start:stop] = sorted(out[start:stop], key=cmp_to_key(compare))
 
 
+def int_text(x: int) -> str:
+    """x in decimal, for a record or a message.
+
+    A decimal past the interpreter's int-to-str digit limit is a CapacityError
+    that names x's bit length.
+    """
+    try:
+        return str(x)
+    except ValueError:
+        raise CapacityError(f"a {x.bit_length()}-bit integer has more decimal digits than the "
+                            f"int-to-str limit of {sys.get_int_max_str_digits()}") from None
+
+
 def powerform_record(a: PowerForm, caps: Caps = DEFAULT_CAPS) -> dict:
     """JSON record with exact decimal strings; "value" is null when symbolic."""
     v = try_evaluate(a, caps)
     return {
-        "root": str(a.root),
-        "exp": str(a.exponent),
-        "value": str(v) if v is not None else None,
+        "root": int_text(a.root),
+        "exp": int_text(a.exponent),
+        "value": int_text(v) if v is not None else None,
     }
 
 
@@ -396,4 +411,4 @@ def powerform_from_record(rec: dict) -> PowerForm:
 def vertex_label(a: PowerForm, caps: Caps = DEFAULT_CAPS) -> str:
     """Decimal string when evaluable, else "root^exp"."""
     v = try_evaluate(a, caps)
-    return str(v) if v is not None else f"{a.root}^{a.exponent}"
+    return int_text(v) if v is not None else f"{int_text(a.root)}^{int_text(a.exponent)}"

@@ -22,6 +22,7 @@ from .tower import (
     _record_int,
     _try_value,
     compare,
+    int_text,
     normalize,
     powerform_record,
     powerform_from_record,
@@ -285,7 +286,7 @@ def hypergraph_record(h: TripleHypergraph, caps: Caps = DEFAULT_CAPS) -> dict:
         "vertices": [powerform_record(v, caps) for v in h.vertices],
         "edges": [list(e) for e in h.edges],
         "meta": {
-            "seeds": [str(s) for s in h.meta.seeds],
+            "seeds": [int_text(s) for s in h.meta.seeds],
             "depth": h.meta.depth,
             "caps": {
                 "value_bit_cap": h.meta.value_bit_cap,

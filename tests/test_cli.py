@@ -481,6 +481,28 @@ def test_fixed_guards_pinned(capsys, argv, message):
         assert err == f"error: {message}\n"
 
 
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+# each input has at most 3701 digits, and each product that is written has over 4800
+@pytest.mark.skipif(not 3701 <= _DIGIT_LIMIT < 4800,
+                    reason="the inputs are sized for the default int-to-str digit limit, 4300")
+@pytest.mark.parametrize("argv, bits", [
+    # the exponents of the depth-4 tower multiply the four wide seeds
+    (("structures", "fe1", "--seeds", "2," + ",".join(str(10 ** e + 1) for e in range(1200, 1204)),
+      "--depth", "4"), 15966),
+    # only the product of all four y is over the bound, so it is the one x
+    (("greedy", "fegen2", "--spec", "rule:n > 1" + "0" * 3700,
+      "--y", ",".join(str(10 ** 1200 + p) for p in (1, 3, 5, 7)), "--f", "constant:1",
+      "--steps", "1"), 15946),
+], ids=["structures_fe1", "greedy_fegen2"])
+def test_integers_past_the_digit_limit_are_capacity_errors(capsys, argv, bits):
+    assert run_cli(*argv) == (2, "")
+    assert capsys.readouterr().err == (
+        f"error: a {bits}-bit integer has more decimal digits than the int-to-str limit "
+        f"of {_DIGIT_LIMIT}\n")
+
+
 def test_block_size_limit_pinned():
     # no block passes against the empty set, so the search tries every block
     # of at most four of the five carrier indices: 5 + 10 + 10 + 5

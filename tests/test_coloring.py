@@ -393,6 +393,14 @@ def test_count_mono_error_names_first_failing_value():
     assert count_mono_triples_at(rule, [63])[0].triple_count == len(triples_oracle(63))
     with pytest.raises(RuleEvaluationError, match="at n=8:"):
         count_mono_triples_at(rule, [64])
+    # the tables colour base 5 before 16, but the c of (2, 4, 16) comes
+    # before the a of (5, 2, 25)
+    for other, colour in (("0", lambda v: 0), ("n % 2", lambda v: v % 2)):
+        rule = parse_rule(f"if(n == 5 or n == 16, 1 / 0, {other})", 2)
+        fails = lambda v: None if v in (5, 16) else colour(v)
+        assert first_failure(fails, triples_oracle(100)) == 16
+        with pytest.raises(RuleEvaluationError, match="at n=16:"):
+            count_mono_triples_at(rule, [100])
 
 
 def test_count_mono_checks_bounds_before_colouring():
@@ -442,20 +450,20 @@ def test_count_mono_falls_back_only_when_a_colour_fails(monkeypatch):
     from exporamsey import coloring
 
     fallbacks = []
-    in_order = coloring._count_in_order
+    locate = coloring._raise_first_failure
 
-    def spy(rule, stops):
-        fallbacks.append(stops)
-        return in_order(rule, stops)
+    def spy(rule, top):
+        fallbacks.append(top)
+        return locate(rule, top)
 
-    monkeypatch.setattr(coloring, "_count_in_order", spy)
+    monkeypatch.setattr(coloring, "_raise_first_failure", spy)
     # 8 fails, but up to 63 it is only the c of (2, 3, 8), whose a and b differ
     rule = parse_rule("if(n == 8, 1 / 0, n % 2)", 2)
     assert count_mono_triples_at(rule, [63, 10])[0].triple_count == len(triples_oracle(63))
     assert fallbacks == []
     with pytest.raises(RuleEvaluationError, match="at n=8:"):
         count_mono_triples_at(rule, [64, 10])
-    assert fallbacks == [[10, 64]]
+    assert fallbacks == [64]
 
 
 def test_count_mono_memory_stays_flat():

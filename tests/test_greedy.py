@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import sys
 from dataclasses import replace
 
 import pytest
@@ -308,6 +309,18 @@ def test_safe_pow_message_past_the_digit_limit():
     # so a carrier that wide is one undecidable candidate, not a ValueError
     out = search_fegen2(parse_set_spec("all"), (3, 2 ** 2 ** 22, 5), "constant:1", 2)
     assert (out.status, out.state.chosen, out.explored) == ("success", (3, 5), 4)
+
+
+def test_unwritable_violator_is_a_capacity_error():
+    from exporamsey import CapacityError
+
+    if not getattr(sys, "get_int_max_str_digits", lambda: 0)():
+        pytest.skip("no int-to-str digit limit")
+    # FP(Y) fails first at y1 * y2, whose decimal passes the digit limit
+    ys = (10 ** 2200 + 1, 10 ** 2200 + 3)
+    with pytest.raises(CapacityError, match="^a 14617-bit integer"):
+        verify_fecor(SetSpec.explicit({2, 3, 5, 8, *ys}), (2, 3), ys, 1,
+                     Caps(value_bit_cap=20000))
 
 
 def test_fegen_deterministic():
