@@ -1,6 +1,14 @@
 """Exception hierarchy shared by all workbench modules."""
 
 
+def message_int(x: int) -> str:
+    """x in decimal for a message, or its bit length past the int-to-str digit limit."""
+    try:
+        return str(x)
+    except ValueError:
+        return f"<{x.bit_length()}-bit integer>"
+
+
 class WorkbenchError(Exception):
     """Base class for all errors raised by this package."""
 
@@ -16,9 +24,9 @@ class CapacityError(WorkbenchError):
 class OracleRangeError(WorkbenchError):
     """A membership query fell outside a set oracle's decidable window."""
 
-    def __init__(self, value, message: str | None = None):
+    def __init__(self, value: int):
         self.value = value
-        super().__init__(message or f"membership undecidable for {value}")
+        super().__init__(f"membership undecidable for {message_int(value)}")
 
 
 class RuleSyntaxError(DomainError):
@@ -30,10 +38,8 @@ class RuleSyntaxError(DomainError):
 
 
 class RuleEvaluationError(WorkbenchError):
-    """A coloring rule hit an evaluation error (division by zero, ilog2(0), ...)."""
+    """A coloring rule hit an evaluation error (division by zero, ilog2(0), ...) at n."""
 
-    def __init__(self, message: str, n: int | None = None):
+    def __init__(self, message: str, n: int):
         self.n = n
-        if n is not None:
-            message = f"rule evaluation failed at n={n}: {message}"
-        super().__init__(message)
+        super().__init__(f"rule evaluation failed at n={message_int(n)}: {message}")

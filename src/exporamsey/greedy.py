@@ -23,7 +23,7 @@ import itertools
 from dataclasses import dataclass
 
 from .config import Caps, DEFAULT_CAPS
-from .errors import CapacityError, DomainError, OracleRangeError
+from .errors import CapacityError, DomainError, OracleRangeError, message_int
 from .ipsets import SetSpec
 from .structures import FeLevel, fe1, fe2, fs, fp, max_element_value, validate_seeds
 from .tower import PowerForm, evaluate, int_text, powerform_record, sorted_forms
@@ -58,18 +58,10 @@ class FeCertificate:
     checked: tuple[tuple[PowerForm, bool], ...]  # every level element, ascending
 
 
-def _int_text(x: int) -> str:
-    """x in decimal, or its bit length where `int_text` cannot write it."""
-    try:
-        return int_text(x)
-    except CapacityError:
-        return f"<{x.bit_length()}-bit integer>"
-
-
 def _safe_pow(base: int, exp: int) -> int:
     if exp * base.bit_length() > _MEMBERSHIP_BIT_LIMIT:
         raise CapacityError(
-            f"{_int_text(base)}**{_int_text(exp)} too large for a membership query")
+            f"{message_int(base)}**{message_int(exp)} too large for a membership query")
     return base ** exp
 
 
@@ -136,15 +128,16 @@ def _greedy_fe(
                 return GreedyFailure(step=step, reason="oracle range",
                                      detail=f"level {what} not evaluable")
             if type_one and n_i > _GREEDY_BASE_LIMIT:
-                return GreedyFailure(step=step, reason="capacity",
-                                     detail=f"level maximum {n_i} exceeds greedy_base_limit")
+                return GreedyFailure(
+                    step=step, reason="capacity",
+                    detail=f"level maximum {message_int(n_i)} exceeds greedy_base_limit")
         start = xs[-1] + 1 if xs else max(lo, 2)
         try:
             chosen = next((m for m in range(start, hi + 1) if spec.contains(m) and all(
                 spec.contains(_safe_pow(o, m) if type_one else _safe_pow(m, o))
                 for o in others)), None)
         except OracleRangeError as exc:
-            return GreedyFailure(step=step, reason="oracle range", detail=str(exc.value))
+            return GreedyFailure(step=step, reason="oracle range", detail=message_int(exc.value))
         except CapacityError as exc:
             return GreedyFailure(step=step, reason="capacity", detail=str(exc))
         if chosen is None:

@@ -14,7 +14,7 @@ from itertools import filterfalse
 from typing import Callable, Iterable
 
 from .config import Caps, DEFAULT_CAPS
-from .errors import DomainError, OracleRangeError, RuleEvaluationError
+from .errors import DomainError, OracleRangeError
 from .rules import parse_rule
 from .tower import ikth_root, int_text
 
@@ -254,14 +254,7 @@ class SetSpec:
     @staticmethod
     def from_rule(source: str, window: tuple[int, int] | None = None) -> "SetSpec":
         evaluate = parse_rule(source, 2).evaluate
-
-        def test(n: int) -> bool:
-            try:
-                return evaluate(n) % 2 == 1
-            except RuleEvaluationError as exc:
-                raise RuleEvaluationError(str(exc), n=n) from None
-
-        return SetSpec(window, test)
+        return SetSpec(window, lambda n: evaluate(n) % 2 == 1)
 
     @staticmethod
     def complement_of(inner: "SetSpec", window: tuple[int, int] | None = None) -> "SetSpec":

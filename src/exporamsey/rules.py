@@ -19,11 +19,13 @@ treat any non-zero value as true; "/" and "%" truncate toward zero; ilog2(x)
 is floor(log2 x) for x >= 1; if(c, x, y) evaluates lazily.  A rule's color
 is the expression value reduced into [0, k) by mathematical modulus.
 
-The parser builds Python `ast` nodes as it reads the rule, and the rule
-compiles once into one function of n.  `ColorRule.colors`, which colours
-many n in one call, compiles the same tree into one list comprehension on
-its first use, so a rule that only ever calls `evaluate` (a `rule:` set
-spec) compiles once.  No source text is generated or `eval`ed.
+The parser builds Python `ast` nodes as it reads the rule, and parsing
+compiles nothing.  `ColorRule.evaluate`, one function of n, and
+`ColorRule.colors`, which colours many n in one call as one list
+comprehension, are each compiled from that tree on their first use, so a
+rule compiles only what its caller asks for.  No source text is generated
+or `eval`ed.  Every evaluation error, in a batch too, is a
+RuleEvaluationError raised where it happens, naming the n being evaluated.
 Parentheses, function arguments and unary operators may nest, and the
 rule's tree may grow (also through chains of binary operators), at most
 _MAX_RULE_DEPTH levels deep; a deeper rule is a RuleSyntaxError at the
@@ -40,7 +42,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable
 
-from .errors import DomainError, RuleEvaluationError, RuleSyntaxError
+from .errors import DomainError, RuleEvaluationError, RuleSyntaxError, message_int
 
 _KEYWORDS = {"n", "and", "or", "not", "if", "ilog2", "ipow"}
 _CMP_OPS = {"==": ast.Eq, "!=": ast.NotEq, "<=": ast.LtE, ">=": ast.GtE,
@@ -214,31 +216,32 @@ class _Parser:
         raise RuleSyntaxError("expected an operand", at)
 
 
-def _trunc_div(a: int, b: int) -> int:
+def _trunc_div(a: int, b: int, n: int) -> int:
     if b == 0:
-        raise RuleEvaluationError("division by zero")
+        raise RuleEvaluationError("division by zero", n)
     q = abs(a) // abs(b)
     return q if (a >= 0) == (b >= 0) else -q
 
 
-def _trunc_mod(a: int, b: int) -> int:
+def _trunc_mod(a: int, b: int, n: int) -> int:
     if b == 0:
-        raise RuleEvaluationError("division by zero")
+        raise RuleEvaluationError("division by zero", n)
     r = abs(a) % abs(b)  # the truncated remainder takes the sign of a
     return r if a >= 0 else -r
 
 
-def _ilog2(x: int) -> int:
+def _ilog2(x: int, n: int) -> int:
     if x < 1:
-        raise RuleEvaluationError(f"ilog2 of non-positive value {x}")
+        raise RuleEvaluationError(f"ilog2 of non-positive value {message_int(x)}", n)
     return x.bit_length() - 1
 
 
-def _ipow(a: int, b: int) -> int:
+def _ipow(a: int, b: int, n: int) -> int:
     if b < 0:
-        raise RuleEvaluationError(f"ipow with negative exponent {b}")
+        raise RuleEvaluationError(f"ipow with negative exponent {message_int(b)}", n)
     if b > _IPOW_EXP_LIMIT or abs(a).bit_length() * max(b, 1) > _IPOW_RESULT_BITS:
-        raise RuleEvaluationError(f"ipow({a}, {b}) result too large")
+        raise RuleEvaluationError(
+            f"ipow({message_int(a)}, {message_int(b)}) result too large", n)
     return a ** b
 
 
@@ -272,7 +275,8 @@ def _value(node: ast.expr) -> ast.expr:
 
 
 def _call(op: str, *args: ast.expr) -> ast.expr:
-    return _node(ast.Call, _name(_HELPERS[op].__name__), [_value(a) for a in args], [])
+    # the helper also takes n, which its errors name
+    return _node(ast.Call, _name(_HELPERS[op].__name__), [*map(_value, args), _name("n")], [])
 
 
 def _binary(op: str, left: ast.expr, right: ast.expr) -> ast.expr:
@@ -322,14 +326,6 @@ def _function(param: str, body: ast.expr) -> Callable:
     return eval(compile(lam, "<rule>", "eval"), _GLOBALS)
 
 
-def _compile(body: ast.expr) -> Callable[[int], int]:
-    """The function n -> value of a parsed rule, as one compiled `lambda n: ...`.
-
-    Evaluating it makes no Python call per rule node.
-    """
-    return _function("n", _value(body))
-
-
 def _compile_colors(body: ast.expr, k: int) -> Callable[[Iterable[int]], list[int]]:
     """The function ns -> [value(n) % k for n in ns] of a parsed rule.
 
@@ -345,31 +341,28 @@ def _compile_colors(body: ast.expr, k: int) -> Callable[[Iterable[int]], list[in
 class ColorRule:
     """A parsed rule mapping each natural to a cell in [0, k).
 
-    `body` is the parsed tree that `evaluate` was compiled from; a rule built
-    from an `evaluate` alone has none.
+    `body` is the rule's parsed tree; `evaluate` and `colors` are compiled
+    from it on their first use.
     """
 
     source: str
     k: int
-    evaluate: Callable[[int], int] = field(repr=False, compare=False)
-    body: ast.expr | None = field(default=None, repr=False, compare=False)
+    body: ast.expr = field(repr=False, compare=False)
 
     def color(self, n: int) -> int:
-        try:
-            return self.evaluate(n) % self.k
-        except RuleEvaluationError as exc:
-            raise RuleEvaluationError(str(exc), n=n) from None
+        return self.evaluate(n) % self.k
+
+    @cached_property
+    def evaluate(self) -> Callable[[int], int]:
+        """The function n -> value of the rule, as one compiled `lambda n: ...`.
+
+        Evaluating it makes no Python call per rule node.
+        """
+        return _function("n", _value(self.body))
 
     @cached_property
     def colors(self) -> Callable[[Iterable[int]], list[int]]:
-        """The function ns -> [self.color(n) for n in ns], made on first use.
-
-        It is compiled from `body`, or maps `evaluate` when there is none.  An
-        evaluation error leaves it without the failing n, which `color` names.
-        """
-        if self.body is None:
-            evaluate, k = self.evaluate, self.k
-            return lambda ns: [evaluate(n) % k for n in ns]
+        """The function ns -> [self.color(n) for n in ns]."""
         return _compile_colors(self.body, self.k)
 
 
@@ -377,5 +370,4 @@ def parse_rule(source: str, k: int) -> ColorRule:
     """Parse a rule; raises RuleSyntaxError with a 0-based error offset."""
     if not isinstance(k, int) or k < 1:
         raise DomainError(f"cell count must be an integer >= 1, got {k!r}")
-    body = _Parser(source).parse()
-    return ColorRule(source=source, k=k, evaluate=_compile(body), body=body)
+    return ColorRule(source, k, _Parser(source).parse())

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .config import Caps, DEFAULT_CAPS
-from .errors import CapacityError, DomainError
+from .errors import CapacityError, DomainError, message_int
 from .tower import (PowerForm, _try_value, int_text, normalize, power, powerform_record,
                     sorted_forms, try_evaluate)
 
@@ -109,7 +109,8 @@ def _capped_pow(base: int, exp: int, caps: Caps) -> int:
     """base**exp within value_bit_cap; a bit-length bound rejects huge powers unbuilt."""
     v = _try_value(base, exp, caps.value_bit_cap)
     if v is None:
-        raise CapacityError(f"{base}**{exp} exceeds value_bit_cap {caps.value_bit_cap}")
+        raise CapacityError(f"{message_int(base)}**{message_int(exp)} exceeds "
+                            f"value_bit_cap {caps.value_bit_cap}")
     return v
 
 

@@ -503,6 +503,34 @@ def test_integers_past_the_digit_limit_are_capacity_errors(capsys, argv, bits):
         f"of {_DIGIT_LIMIT}\n")
 
 
+# 2**14301, the least integer written below, has 4306 digits
+@pytest.mark.skipif(not 0 < _DIGIT_LIMIT < 4306,
+                    reason="needs an int-to-str digit limit below 4306 digits")
+@pytest.mark.parametrize("argv, record", [
+    # x_0 = 14300, so the first query of step 1 is 2**14301, outside the window
+    (("greedy", "fe1", "--spec", "all@1..20000", "--depth", "1", "--lo", "14300",
+      "--hi", "20000"), ("oracle range", "<14302-bit integer>")),
+    (("--value-bit-cap", "30000", "greedy", "fe1", "--spec", "rule:n == 2 or n >= 20000",
+      "--depth", "2", "--lo", "2", "--hi", "20001"),
+     ("capacity", "level maximum <20001-bit integer> exceeds greedy_base_limit")),
+], ids=["oracle_range", "level_maximum"])
+def test_greedy_failure_details_past_the_digit_limit(capsys, argv, record):
+    code, data = run_json(*argv)
+    assert code == 2 and (data["reason"], data["detail"]) == record
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.skipif(not 0 < _DIGIT_LIMIT < 6021,
+                    reason="needs an int-to-str digit limit below 6021 digits")
+@pytest.mark.parametrize("rule, message", [
+    ("ipow(ipow(n, 20000), 1000)", "ipow(<20001-bit integer>, 1000) result too large"),
+    ("ilog2(0 - ipow(n, 20000))", "ilog2 of non-positive value <20001-bit integer>"),
+])
+def test_rule_operands_past_the_digit_limit(capsys, rule, message):
+    assert run_cli("color", "rule-count", "--rule", rule, "--k", "2", "--max", "100") == (1, "")
+    assert capsys.readouterr().err == f"error: rule evaluation failed at n=2: {message}\n"
+
+
 def test_block_size_limit_pinned():
     # no block passes against the empty set, so the search tries every block
     # of at most four of the five carrier indices: 5 + 10 + 10 + 5

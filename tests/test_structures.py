@@ -1,6 +1,7 @@
 """Generators against independent subset-enumeration and recursion oracles."""
 
 import random
+import sys
 
 import pytest
 
@@ -171,3 +172,11 @@ def test_level_record_shapes():
     rec2 = level_record("FS", (2, 3), fs({2, 3}))
     assert rec2["elements"] == ["2", "3", "5"]
     assert rec2["level"] is None
+
+
+@pytest.mark.skipif(not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5001,
+                    reason="needs an int-to-str digit limit below 5001 digits")
+def test_capped_pow_message_past_the_digit_limit():
+    with pytest.raises(CapacityError,
+                       match=r"^<16610-bit integer>\*\*2 exceeds value_bit_cap 4096$"):
+        pow_image_exp([10 ** 5000], 2)
