@@ -24,8 +24,13 @@ compiles nothing.  `ColorRule.evaluate`, one function of n, and
 `ColorRule.colors`, which colours many n in one call as one list
 comprehension, are each compiled from that tree on their first use, so a
 rule compiles only what its caller asks for.  No source text is generated
-or `eval`ed.  Every evaluation error, in a batch too, is a
-RuleEvaluationError raised where it happens, naming the n being evaluated.
+or `eval`ed.  `/` and `%` by a positive constant compile to inline floor
+division, which cannot fail.  `ilog2(x)`, and `ipow(a, c)` for a constant c
+in [0, _IPOW_EXP_LIMIT], compile inline behind the guard that their helper
+tests (x >= 1; a's bit length times max(c, 1) within _IPOW_RESULT_BITS), so
+a helper runs only to raise.  Every other `/`, `%` and `ipow` calls its
+helper.  Every evaluation error, in a batch too, is a RuleEvaluationError
+raised where it happens, naming the n being evaluated.
 Parentheses, function arguments and unary operators may nest, and the
 rule's tree may grow (also through chains of binary operators), at most
 _MAX_RULE_DEPTH levels deep; a deeper rule is a RuleSyntaxError at the
@@ -59,8 +64,8 @@ _IPOW_EXP_LIMIT = 1 << 20
 _IPOW_RESULT_BITS = 1 << 21
 # The nesting and tree height a rule may reach.  The parser takes 2 Python
 # frames per nesting level, and compiling a rule at the limit charges up to
-# about 310 frames, so callers keep about 690 of the default recursion
-# limit (1000).
+# about 410 frames (a nest of ipow by a constant), so callers keep about 590
+# of the default recursion limit (1000).
 _MAX_RULE_DEPTH = 100
 
 
@@ -249,8 +254,10 @@ _BOOL_OPS = {"or": ast.Or, "and": ast.And}
 _ARITH_OPS = {"+": ast.Add, "-": ast.Sub, "*": ast.Mult}
 _FLOOR_OPS = {"/": ast.FloorDiv, "%": ast.Mod}
 _HELPERS = {"/": _trunc_div, "%": _trunc_mod, "ilog2": _ilog2, "ipow": _ipow}
-# a compiled rule's globals: the helpers by their own names, and no builtins
-_GLOBALS = {"__builtins__": {}, **{f.__name__: f for f in _HELPERS.values()}}
+# a compiled rule's globals: the helpers by their own names, int.bit_length,
+# and no builtins
+_GLOBALS = {"__builtins__": {}, **{f.__name__: f for f in _HELPERS.values()},
+            "_bit_length": int.bit_length}
 
 
 def _node(cls, *fields) -> ast.AST:
@@ -274,17 +281,58 @@ def _value(node: ast.expr) -> ast.expr:
     return node
 
 
+def _helper(op: str, *args: ast.expr) -> ast.expr:
+    """The node of a call of op's helper; the helper also takes n, which its errors name."""
+    return _node(ast.Call, _name(_HELPERS[op].__name__), [*args, _name("n")], [])
+
+
+def _bind(node: ast.expr) -> tuple[str, ast.expr]:
+    """The name that holds node's value once the returned node has run.
+
+    That is n itself when the node is `n`; any other node is assigned to the
+    walrus temporary `_t`.  One temporary serves every inline operator, as
+    each reads it right after its own assignment.
+    """
+    if isinstance(node, ast.Name):
+        return "n", node
+    return "_t", _node(ast.NamedExpr, _name("_t", ast.Store), node)
+
+
 def _call(op: str, *args: ast.expr) -> ast.expr:
-    # the helper also takes n, which its errors name
-    return _node(ast.Call, _name(_HELPERS[op].__name__), [*map(_value, args), _name("n")], [])
+    """The node of `ilog2(x)` or `ipow(a, b)`.
+
+    Both are inline behind the guard that their helper tests, and the helper
+    runs only where the guard fails, to raise its error:
+    `v.bit_length() - 1 if (v := x) >= 1 else _ilog2(v, n)`, and, for a
+    constant c in [0, _IPOW_EXP_LIMIT],
+    `v ** c if _bit_length(v := a) <= _IPOW_RESULT_BITS // max(c, 1) else _ipow(v, c, n)`,
+    the helper's size test, as int.bit_length ignores the sign.  Any other
+    `ipow` calls the helper.
+    """
+    args = [*map(_value, args)]
+    if op == "ilog2":
+        v, first = _bind(args[0])
+        guard = _node(ast.Compare, first, [ast.GtE()], [_const(1)])
+        bit_length = _node(ast.Attribute, _name(v), "bit_length", ast.Load())
+        inline = _node(ast.BinOp, _node(ast.Call, bit_length, [], []), ast.Sub(), _const(1))
+    elif isinstance(c := args[1], ast.Constant) and 0 <= c.value <= _IPOW_EXP_LIMIT:
+        # the walrus as an argument, not an attribute's base, keeps the tree of
+        # an ipow nest one level shallower per ipow for compile()
+        v, first = _bind(args[0])
+        guard = _node(ast.Compare, _node(ast.Call, _name("_bit_length"), [first], []),
+                      [ast.LtE()], [_const(_IPOW_RESULT_BITS // max(c.value, 1))])
+        inline = _node(ast.BinOp, _name(v), ast.Pow(), c)
+    else:
+        return _helper(op, *args)
+    return _node(ast.IfExp, guard, inline, _helper(op, _name(v), *args[1:]))
 
 
 def _binary(op: str, left: ast.expr, right: ast.expr) -> ast.expr:
     """The node of `left op right`.
 
     `and` and `or` evaluate lazily.  `/` and `%` by a positive constant are
-    floor division on |v|; every other `/` and `%` calls the helpers above,
-    which raise the evaluation errors.
+    inline floor division on |v|, which cannot fail; every other `/` and `%`
+    calls the helpers above, which raise the evaluation errors.
     """
     if op in _BOOL_OPS:
         return _node(ast.BoolOp, _BOOL_OPS[op](), [left, right])
@@ -294,15 +342,10 @@ def _binary(op: str, left: ast.expr, right: ast.expr) -> ast.expr:
     if op in _ARITH_OPS:
         return _node(ast.BinOp, left, _ARITH_OPS[op](), right)
     if not isinstance(right, ast.Constant) or right.value <= 0:
-        return _call(op, left, right)
+        return _helper(op, left, right)
     # by a positive constant c, truncation is floor division on |v|:
-    # v // c if (v := left) >= 0 else -(-v // c), where n needs no temporary;
-    # one temporary serves every division, as each reads it right after it is set
-    if isinstance(left, ast.Name):
-        v, first = "n", left
-    else:
-        v = "_t"
-        first = _node(ast.NamedExpr, _name(v, ast.Store), left)
+    # v // c if (v := left) >= 0 else -(-v // c)
+    v, first = _bind(left)
     floor = _FLOOR_OPS[op]
     negated = _node(ast.UnaryOp, ast.USub(), _name(v))
     return _node(
@@ -318,7 +361,7 @@ def _function(param: str, body: ast.expr) -> Callable:
 
     No source text is generated, `eval` only runs the compiled code to make
     the function, and the tree holds only constants, `n`, `param`, a walrus
-    temporary and helper names.
+    temporary, helper names and `_bit_length`.
     """
     args = ast.arguments(posonlyargs=[], args=[_node(ast.arg, param)], kwonlyargs=[],
                          kw_defaults=[], defaults=[])

@@ -71,6 +71,101 @@ def test_division_by_constants_of_either_sign():
             parse_rule(source, 2).color(5)
 
 
+def _spy_helpers(monkeypatch):
+    """The list to which every later call of _ilog2 or _ipow appends its name."""
+    calls = []
+    for name in ("_ilog2", "_ipow"):
+        # compiled rules read their helpers from this dict when they run
+        monkeypatch.setitem(rules._GLOBALS, name, lambda *args, name=name, helper=rules._GLOBALS[name]:
+                            calls.append(name) or helper(*args))
+    return calls
+
+
+def test_inline_helpers_run_only_to_raise(monkeypatch):
+    calls = _spy_helpers(monkeypatch)
+    ns = range(2, 10 ** 4 + 1)
+    # the census rules whose ilog2 and ipow compile inline
+    for source, k in [("ilog2(n) % 3", 3), ("ilog2(ilog2(n)) % 2", 2), ("ipow(n % 4, 2) % 3", 3)]:
+        rule, expected = parse_rule(source, k), [CENSUS_RULES[(source, k)](n) for n in ns]
+        assert rule.colors(ns) == expected, source
+        assert [rule.evaluate(n) % k for n in ns] == expected, source
+    assert calls == []
+    rule = parse_rule("ilog2(n - 4)", 2)
+    for run in (rule.evaluate, lambda n: rule.colors([n])):
+        with pytest.raises(RuleEvaluationError) as err:
+            run(4)
+        assert str(err.value) == "rule evaluation failed at n=4: ilog2 of non-positive value 0"
+        assert calls == ["_ilog2"]
+        calls.clear()
+
+
+def _agrees(source, n, expected):
+    """evaluate, colors and color of the rule at n give expected(), or raise its error.
+
+    Returns whether expected() raised.
+    """
+    k = 5
+    rule = parse_rule(source, k)
+    try:
+        value = expected()
+    except RuleEvaluationError as exc:
+        for run in (rule.evaluate, lambda n: rule.colors([n]), rule.color):
+            with pytest.raises(RuleEvaluationError) as err:
+                run(n)
+            assert str(err.value) == str(exc), (source, n)
+        return True
+    assert rule.evaluate(n) == value, (source, n)
+    assert rule.colors([n]) == [value % k], (source, n)
+    assert rule.color(n) == value % k, (source, n)
+    return False
+
+
+@pytest.mark.parametrize("c", [0, 1, 2, 3])
+def test_ipow_guard_at_the_size_bound(c, monkeypatch):
+    bits = rules._IPOW_RESULT_BITS // max(c, 1)
+    # the base n * 2^(bits - 1), from two ipow that each stay within the bound
+    half = (bits - 1) // 2
+    source = f"ipow(ipow(2, {half}) * ipow(2, {bits - 1 - half}) * n, {c})"
+    raised = [_agrees(source, n, lambda: rules._ipow(n << (bits - 1), c, n))
+              for n in (1, -1, 2, -2, 3, -3)]
+    # a base of `bits` bits passes the guard, one of a bit more fails it
+    assert raised == [False, False, True, True, True, True]
+    calls = _spy_helpers(monkeypatch)
+    parse_rule(source, 2).colors([1, -1])
+    assert calls == []  # and inline
+
+
+def test_ipow_exponents_that_keep_the_helper():
+    limit = rules._IPOW_EXP_LIMIT
+    for n in (0, 1, -1, 2, -3, 4):
+        for b in (-2, limit + 1, limit):  # limit is the largest exponent compiled inline
+            _agrees(f"ipow(n, {b})" if b >= 0 else f"ipow(n, -{-b})", n,
+                    lambda: rules._ipow(n, b, n))
+        _agrees("ipow(n, n - 2)", n, lambda: rules._ipow(n, n - 2, n))
+    # the bit-length guard alone would let this through
+    assert _agrees(f"ipow(n, {limit + 1})", 1, lambda: rules._ipow(1, limit + 1, 1))
+
+
+def test_ilog2_guard():
+    operands = {"n": lambda n: n, "n - 4": lambda n: n - 4, "n > 3": lambda n: int(n > 3),
+                "if(n < 2, n, 8)": lambda n: n if n < 2 else 8,
+                "n == 1 or n == 2": lambda n: int(n in (1, 2))}
+    for operand, x in operands.items():
+        for n in (-5, -1, 0, 1, 2, 3, 4, 5, 8, 1 << 70):
+            _agrees(f"ilog2({operand})", n, lambda: rules._ilog2(x(n), n))
+    assert _agrees("ilog2(n)", 0, lambda: rules._ilog2(0, 0))
+    assert not _agrees("ilog2(n)", 1, lambda: rules._ilog2(1, 1))
+
+
+def test_inline_operators_share_one_temporary():
+    # the `/` by a constant, both ilog2 and the ipow each set the walrus temporary
+    source = "ilog2((n * n) / 7) + ipow(ilog2(n + 1), 3)"
+    for n in range(-20, 201):
+        _agrees(source, n, lambda: rules._ilog2(tdiv(n * n, 7), n)
+                + rules._ipow(rules._ilog2(n + 1, n), 3, n))
+    assert parse_rule(source, 1000).evaluate(100) == ilog2(10000 // 7) + ilog2(101) ** 3
+
+
 def test_and_or_short_circuit():
     # the right operand would divide by zero at n = 3
     assert parse_rule("n < 4 or 1 / (n - 3)", 2).color(3) == 1
@@ -93,8 +188,8 @@ def random_tree(rng, depth):
         return ("n",) if rng.random() < 0.5 else ("const", rng.choice(_CONSTANTS))
     op = rng.choice(sorted(_ARITY))
     args = [random_tree(rng, depth - 1) for _ in range(_ARITY[op])]
-    if op in ("/", "%") and rng.random() < 0.5:
-        args[1] = ("const", rng.choice(_CONSTANTS))  # the constant-divisor path
+    if op in ("/", "%", "ipow") and rng.random() < 0.5:
+        args[1] = ("const", rng.choice(_CONSTANTS))  # the constant divisor and exponent paths
     return (op, *args)
 
 
@@ -181,14 +276,26 @@ def _from_depth(frames, fn):
     return _from_depth(frames - 1, fn) if frames else fn()
 
 
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except RuleEvaluationError as exc:
+        return str(exc)
+
+
 def test_batch_colors_at_the_depth_limit():
     depth = rules._MAX_RULE_DEPTH
     for source in ["(" * depth + "n" + ")" * depth, "-" * depth + "n",
                    "if(n, " * depth + "n" + ", 0)" * depth, "n" + " / 1" * depth,
-                   "(" * (depth - 1) + "n" + " % 9)" * (depth - 1)]:
+                   "(" * (depth - 1) + "n" + " % 9)" * (depth - 1),
+                   "ilog2(" * depth + "n" + ")" * depth, "ipow(" * depth + "n" + ", 1)" * depth]:
         rule = parse_rule(source, 1000)
         # compiled from a caller 500 frames deep, as the single-value function is
-        assert _from_depth(500, lambda: rule.colors([7, 8])) == [rule.color(7), rule.color(8)]
+        assert (_from_depth(500, lambda: _outcome(rule.colors, [7, 8]))
+                == _outcome(lambda ns: [rule.color(n) for n in ns], [7, 8])), source
+    # the ilog2 nest reaches ilog2(0) within five levels
+    rule = parse_rule("ilog2(" * depth + "n" + ")" * depth, 2)
+    assert _outcome(rule.colors, [7]) == "rule evaluation failed at n=7: ilog2 of non-positive value 0"
 
 
 def _bounds(rng):
