@@ -12,10 +12,11 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from .config import Caps, DEFAULT_CAPS
-from .errors import CapacityError, DomainError, RuleEvaluationError
+from .errors import CapacityError, DomainError, RuleEvaluationError, message_int
 from .rules import ColorRule, parse_rule  # re-exported as part of this surface
 from .triples import TripleHypergraph, check_triple_bound, iter_int_triples
 from .tower import _record_int, ikth_root, vertex_label
@@ -37,6 +38,10 @@ __all__ = [
     "counts_record",
     "counts_csv_rows",
 ]
+
+# Most clauses export_dimacs writes; each is a line of text, so this bounds its output.
+_CNF_CLAUSE_LIMIT = 1 << 22
+
 
 @dataclass(frozen=True)
 class Coloring:
@@ -218,10 +223,16 @@ def export_dimacs(h: TripleHypergraph, k: int, caps: Caps = DEFAULT_CAPS) -> str
     with deduplicated vertex set {u, v, w} yields (u v w) and (-u -v -w).
     k > 2 uses variables x[v,c] = v*k + c + 1 with at-least-one and pairwise
     at-most-one clauses per vertex, and per edge and color one all-different
-    clause.  Comment lines record the vertex/variable map.
+    clause.  Comment lines record the vertex/variable map.  More than
+    _CNF_CLAUSE_LIMIT clauses is a CapacityError, raised before any is built.
     """
     _check_k(k)
     nv = len(h.vertices)
+    n_clauses = 2 * len(h.edges) if k == 2 else nv * (1 + k * (k - 1) // 2) + k * len(h.edges)
+    if n_clauses > _CNF_CLAUSE_LIMIT:
+        raise CapacityError(f"a {message_int(k)}-color CNF of {nv} vertices and {len(h.edges)} "
+                            f"edges has {message_int(n_clauses)} clauses, over the limit of "
+                            f"{_CNF_CLAUSE_LIMIT}")
     labels = [vertex_label(v, caps) for v in h.vertices]
     lit = [str(x) for x in range(nv * k + 1)]  # lit[x] is variable x's text
     cons = [sorted({a, b, c}) for a, b, c in h.edges]
@@ -235,11 +246,11 @@ def export_dimacs(h: TripleHypergraph, k: int, caps: Caps = DEFAULT_CAPS) -> str
     else:
         lines = [f"c v {i} {label} vars {i * k + 1}..{i * k + k}"
                  for i, label in enumerate(labels)]
-        pairs = [(c1, c2) for c1 in range(1, k + 1) for c2 in range(c1 + 1, k + 1)]
         clauses = []
         for base in range(0, nv * k, k):
             clauses.append(" ".join(lit[base + 1 : base + k + 1]) + " 0")
-            clauses += [f"-{base + c1} -{base + c2} 0" for c1, c2 in pairs]
+            clauses += [f"-{base + c1} -{base + c2} 0"
+                        for c1, c2 in combinations(range(1, k + 1), 2)]
         for vs in cons:
             # each vertex's k variables, transposed to one row per color
             rows = zip(*[lit[v * k + 1 : v * k + k + 1] for v in vs])

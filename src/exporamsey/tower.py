@@ -22,23 +22,41 @@ keys differ by at most tau = _KEY_TIE * max(1, key), with _KEY_TIE = 2**-44
 (8x that margin), are re-sorted with the exact `compare`; every other
 neighbour pair is ordered correctly by its keys.
 
-Perfect-power detection tries prime exponents k only and takes each k-th
-root from a float guess round(n ** (1/k)), confirmed exactly by r**k == n.
+Perfect-power detection strips exact k-th roots for prime k only.  A root
+m**e with m perfect-power-free is a p-th power exactly when p divides e, and
+taking roots only divides e: a root that is no p-th power never becomes one,
+so no k needs a second visit, composite k never succeed, the accumulated
+exponent ends maximal, and the canonical (root, exponent) does not depend on
+the order in which exponents are stripped.
+
+A root below 2**64, whether n itself or what a larger n was stripped down
+to, goes to one word-size routine, which tries k = 2, 3, 5 and then k >= 7.
+Before it takes a square, cube or fifth root it checks residue tables built
+at import: the squares mod 64, 63 and 65 (12, 16 and 21 residues), the cubes
+mod 819 = 7*9*13 (45) and the fifth powers mod 341 = 11*31 (21).  If
+root = x**k then root mod m = x**k mod m is in the k-th-power table of every
+m, so a root whose residue is missing from a table is no k-th power and is
+skipped; about 1.5%, 5.5% and 6.2% of all residues pass the three gates.
+A root that passes takes math.isqrt, round(root ** (1/3)) or
+round(root ** 0.2) and is accepted only if r**k == root exactly.  The cube
+and fifth roots of a value below 2**64 are below 2**22 and 2**13, inside the
+float guard below (roots below 2**44 of values below 2**1023).
+
+After k = 2, 3, 5 the root has no square, cube or fifth root, so every
+exponent it still has is a prime >= 7, and one table lookup replaces the
+remaining root attempts.  A k-th root of a value below 2**64 is below
+2**(64/7) < 566 for every k >= 7, so _WORD_POWERS holds just the 688 values
+r**k < 2**64 with k prime, 7 <= k <= 61 and r >= 2.  No two entries collide:
+r**p == s**q with primes p != q >= 7 is a (p*q)-th power, at least 2**77.
+
+From 2**64 up, the loop tries each prime k in turn until the root drops
+below 2**64 or below 2**k.  Square roots come from math.isqrt; odd k-th
+roots from a float guess round(n ** (1/k)), confirmed exactly by r**k == n.
 The guess is used only while the root is below 2**_FLOAT_ROOT_BITS and n
 converts to a float without overflow, where it is provably the exact root
-of every exact k-th power (error bound derived at _FLOAT_ROOT_BITS).  Square
-roots come from math.isqrt; `ikth_root`'s Newton iteration still runs for
-odd k when n has more than 1023 bits or its k-th root could reach
-2**_FLOAT_ROOT_BITS.
-
-Once k reaches 7 with the root below 2**64, one table lookup replaces the
-remaining root attempts.  A k-th root of a value below 2**64 is below
-2**(64/7) < 566 for every k >= 7, so _WORD_POWERS holds just the 688
-values r**k < 2**64 with k prime, 7 <= k <= 61 and r >= 2.  After
-k = 2, 3, 5 the root has no square, cube or fifth root, and never gains one
-by taking further roots, so every exponent it still has is a prime >= 7
-and its power is in the table.  No two entries collide: r**p == s**q with
-primes p != q >= 7 is a (p*q)-th power, at least 2**77.
+of every exact k-th power (error bound derived at _FLOAT_ROOT_BITS);
+`ikth_root`'s Newton iteration runs when n has more than 1023 bits or its
+k-th root could reach 2**_FLOAT_ROOT_BITS.
 """
 
 from __future__ import annotations
@@ -124,6 +142,20 @@ _WORD_POWERS = {r ** k: (r, k) for k in _PRIMES if 7 <= k < 64
                 for r in range(2, ikth_root(_WORD - 1, k) + 1)}
 
 
+def _residues(k: int, m: int) -> bytes:
+    """t with t[x % m] == 1 exactly when x % m is a k-th power mod m."""
+    t = bytearray(m)
+    for x in range(m):
+        t[pow(x, k, m)] = 1
+    return bytes(t)
+
+
+# The residue gates of perfect_power's word-size routine; see the module docstring.
+_SQUARES_64, _SQUARES_63, _SQUARES_65 = _residues(2, 64), _residues(2, 63), _residues(2, 65)
+_CUBES_819 = _residues(3, 819)
+_FIFTHS_341 = _residues(5, 341)
+
+
 def _prime_exponents():
     """2, 3, 5, 7, ...: the table, then odd k with no prime factor in the table.
 
@@ -148,25 +180,42 @@ def _exact_root(n: int, k: int) -> int | None:
 def perfect_power(n: int) -> tuple[int, int] | None:
     """Return (m, k) with m**k == n and k maximal (k >= 2), or None.
 
-    Repeatedly strips exact k-th roots for prime k = 2, 3, 5, 7, ... until
-    the remaining root admits none; the accumulated exponent is then maximal,
-    which makes the root automatically perfect-power-free.  A root that is
-    no p-th power never becomes one by taking further roots, so no k needs
-    a second visit and composite k never succeed.  From k = 7 on, a root
-    below 2**64 finishes with lookups in _WORD_POWERS instead.
+    From 2**64 up, strips exact k-th roots for prime k = 2, 3, 5, 7, ... until
+    the root drops below 2**64 or admits no further root.  A root below 2**64
+    then goes to the word-size routine: squares, cubes and fifth powers, each
+    root taken only for a residue in its table and confirmed by exact
+    multiplication, then lookups in _WORD_POWERS for the primes from 7.  The
+    accumulated exponent is maximal, which makes the root perfect-power-free;
+    see the module docstring.
     """
     if n < 4:
         return None
     root, exp = n, 1
-    for k in _prime_exponents():
-        if k >= root.bit_length():  # root < 2**k, the k-th power of 2
+    if root >= _WORD:
+        for k in _prime_exponents():
+            if k >= root.bit_length():  # root < 2**k, the k-th power of 2
+                return None if exp == 1 else (root, exp)
+            while (r := _exact_root(root, k)) is not None:
+                root, exp = r, exp * k
+            if root < _WORD:
+                break
+    while _SQUARES_64[root & 63] and _SQUARES_63[root % 63] and _SQUARES_65[root % 65]:
+        r = math.isqrt(root)
+        if r * r != root:
             break
-        if k >= 7 and root < _WORD:
-            while (t := _WORD_POWERS.get(root)) is not None:
-                root, exp = t[0], exp * t[1]
+        root, exp = r, exp * 2
+    while _CUBES_819[root % 819]:
+        r = round(root ** (1 / 3))
+        if r * r * r != root:
             break
-        while (r := _exact_root(root, k)) is not None:
-            root, exp = r, exp * k
+        root, exp = r, exp * 3
+    while _FIFTHS_341[root % 341]:
+        r = round(root ** 0.2)
+        if r ** 5 != root:
+            break
+        root, exp = r, exp * 5
+    while (t := _WORD_POWERS.get(root)) is not None:
+        root, exp = t[0], exp * t[1]
     return None if exp == 1 else (root, exp)
 
 

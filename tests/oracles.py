@@ -64,6 +64,11 @@ def perfect_power_table(limit, min_exp=2):
     return table
 
 
+def power_residues(k, m):
+    """{x**k mod m : 0 <= x < m}, the k-th-power residues mod m."""
+    return {x ** k % m for x in range(m)}
+
+
 def canonical_pair(base, exp):
     """Canonical (root, exponent) of base**exp via the brute-force oracle."""
     hit = perfect_power_oracle(base)

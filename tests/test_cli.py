@@ -129,6 +129,13 @@ def test_color_export_cnf_golden():
     assert "\r" not in out
 
 
+def test_color_export_cnf_clause_limit(capsys):
+    # 2 vertices at k = 3000 need 2 * (1 + 4498500) + 3000 clauses, past the 2**22 limit
+    code, out = run_cli("color", "export-cnf", "--seeds", "2", "--depth", "1", "--k", "3000")
+    assert (code, out) == (2, "")
+    assert "9000002 clauses" in capsys.readouterr().err
+
+
 def test_color_rule_count_json_and_csv():
     code, data = run_json(
         "color", "rule-count", "--rule", "n % 2", "--k", "2", "--max", "30,100"

@@ -7,6 +7,7 @@ from collections import Counter
 
 import pytest
 
+from exporamsey import coloring
 from exporamsey import (
     CapacityError,
     Caps,
@@ -219,6 +220,36 @@ def test_dimacs_empty_hypergraph():
     h = exp_closure({3}, 0)
     lines = export_dimacs(h, 2).splitlines()
     assert lines[-1] == "p cnf 1 0"
+
+
+def test_dimacs_clause_limit(monkeypatch):
+    # 2 vertices and the edge (2, 2, 4): 2 clauses at k = 2, 2 * (1 + 3) + 3 = 11 at k = 3
+    h = exp_closure({2}, 1)
+    for k, n_clauses in ((2, 2), (3, 11)):
+        monkeypatch.setattr(coloring, "_CNF_CLAUSE_LIMIT", n_clauses)
+        assert len(parse_dimacs(export_dimacs(h, k))[1]) == n_clauses
+        monkeypatch.setattr(coloring, "_CNF_CLAUSE_LIMIT", n_clauses - 1)
+        with pytest.raises(CapacityError, match=f" {n_clauses} clauses"):
+            export_dimacs(h, k)
+    monkeypatch.undo()
+
+    # the count comes first: no label, literal or clause is built past the limit
+    def no_labels(*args):
+        raise AssertionError("export_dimacs built a vertex label")
+
+    monkeypatch.setattr(coloring, "vertex_label", no_labels)
+    tracemalloc.start()
+    try:
+        for k in (3000, 10 ** 12, 10 ** 5000):
+            with pytest.raises(CapacityError, match="clauses, over the limit"):
+                export_dimacs(h, k)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # no vertex, no clause: nothing is built for the colours either
+    empty = _random_hypergraph(random.Random(0), 0, 0, Caps())
+    assert export_dimacs(empty, 10 ** 12) == "p cnf 0 0\n"
 
 
 def test_dimacs_header_counts_exact():

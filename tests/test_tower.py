@@ -34,7 +34,7 @@ from exporamsey.tower import (
     vertex_label,
 )
 
-from oracles import perfect_power_oracle, perfect_power_table
+from oracles import perfect_power_oracle, perfect_power_table, power_residues
 
 
 def test_normalize_examples():
@@ -127,6 +127,74 @@ def test_perfect_power_word_size():
     # from 2**64 up, with a root that drops below 2**64 partway through the loop
     for m, k in ((5, 77), (6, 49), (2, 7 * 7 * 2)):
         assert perfect_power(m ** k) == (m, k)
+
+
+def test_word_residue_tables():
+    tables = {(2, 64): tower._SQUARES_64, (2, 63): tower._SQUARES_63,
+              (2, 65): tower._SQUARES_65, (3, 819): tower._CUBES_819,
+              (5, 341): tower._FIFTHS_341}
+    for (k, m), table in tables.items():
+        assert len(table) == m and set(table) <= {0, 1}
+        assert {x for x in range(m) if table[x]} == power_residues(k, m), (k, m)
+    assert {km: sum(table) for km, table in tables.items()} == {
+        (2, 64): 12, (2, 63): 16, (2, 65): 21, (3, 819): 45, (5, 341): 21}
+
+
+def test_perfect_power_word_boundaries():
+    # By Mihailescu's theorem m**k +- 1 is never a perfect power for m**k > 9.
+    word = 1 << 64
+    # the largest square, cube and fifth power below 2**64, and two powers from
+    # 2**64 up whose root drops below it after one square root
+    cases = [((1 << 32) - 1, 2), (2642245, 3), (7131, 5), ((1 << 32) + 1, 2), ((1 << 21) + 1, 6)]
+    assert [m ** k < word for m, k in cases] == [True, True, True, False, False]
+    assert min((1 << 32) ** 2, 2642246 ** 3, 7132 ** 5) >= word
+    assert all(perfect_power_oracle(m) is None for m, _ in cases)
+    # sixth, tenth, fifteenth and thirtieth powers: every order of k = 2, 3, 5, on
+    # either side of 2**64, and 65538**30 reaches the word-size routine after k = 5
+    for r in (2, 3, 6, 10, 12, 1001, 65538):
+        assert perfect_power_oracle(r) is None
+        cases += [(r, k) for k in (6, 10, 15, 30)]
+    for m, k in cases:
+        n = m ** k
+        assert perfect_power(n) == (m, k), (m, k)
+        assert perfect_power(n - 1) is None and perfect_power(n + 1) is None, (m, k)
+    # every m**3 for the top 2**16 values of m up to the largest cube root below 2**64
+    top = 2642245
+    roots = perfect_power_table(top + 1)  # the m that are perfect powers themselves
+    for m in range(top - (1 << 16) + 1, top + 1):
+        r, e = roots.get(m, (m, 1))
+        n = m ** 3
+        assert perfect_power(n) == (r, 3 * e), m
+        assert perfect_power(n - 1) is None and perfect_power(n + 1) is None, m
+
+
+def test_word_size_roots_take_no_general_root(monkeypatch):
+    # below 2**64 every root comes from the word-size routine, never from
+    # _exact_root or ikth_root; the values are drawn as the census workload's
+    # tower batches draw theirs
+    def general_root(*args):
+        raise AssertionError(f"general root taken for {args}")
+
+    monkeypatch.setattr(tower, "_exact_root", general_root)
+    monkeypatch.setattr(tower, "ikth_root", general_root)
+    values = []
+    for batch in range(64):
+        rng = random.Random(f"tower-batch-{batch}")
+        values += [rng.randrange(2, 10 ** 18) for _ in range(100)]
+        values += [rng.randrange(2, 10 ** 4) ** rng.randrange(2, 5) for _ in range(30)]
+        pows = 0
+        while pows < 50:
+            a, b = rng.randrange(2, 10 ** 6), rng.randrange(2, 60)
+            if a ** b <= 10 ** 18:
+                values += [a, b]
+                pows += 1
+        values += [rng.randrange(2, 10 ** 18) for _ in range(200)]
+    powers = 0
+    for n in values:
+        pf = normalize(n)
+        assert pf.root ** pf.exponent == n
+        powers += pf.exponent > 1
+    assert powers > 64 * 30
 
 
 def _power_free(rng, lo, hi):
