@@ -245,7 +245,7 @@ def _run_color(args, caps: Caps, out) -> int:
         return EXIT_OK
     if args.action == "export-cnf":
         h = _hypergraph_from_args(args, caps)
-        out.write(col_mod.export_dimacs(h, args.k, caps))
+        col_mod.export_dimacs(h, args.k, caps, out)
         return EXIT_OK
     if args.action == "check":
         h = _hypergraph_from_args(args, caps)

@@ -2,6 +2,10 @@
 
 An edge is monochromatic when its deduplicated vertex set lies in one color
 cell; for an edge like (2, 2, 4) the condition is color(2) == color(4).
+Every edge the package builds (`exp_closure`, `sub_hypergraph`, a checked
+hypergraph record) has c as its strictly largest index, because a^b > a, b;
+`_vertex_sets` reads that edge's set off its shape and sorts only other
+raw triples.
 The one solver is backtracking with forward checking for every k, each
 color attempt charged to `Caps.search_budget`; the tests check its witnesses
 against the independent brute-force oracle in `tests/oracles.py`.
@@ -11,9 +15,10 @@ against the independent brute-force oracle in `tests/oracles.py`.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable, Sequence
+from itertools import chain, combinations, islice, starmap
+from typing import Iterable, Iterator, Sequence, TextIO
 
 from .config import Caps, DEFAULT_CAPS
 from .errors import CapacityError, DomainError, RuleEvaluationError, message_int
@@ -41,6 +46,8 @@ __all__ = [
 
 # Most clauses export_dimacs writes; each is a line of text, so this bounds its output.
 _CNF_CLAUSE_LIMIT = 1 << 22
+# Most lines in one block of export_dimacs text, so writing it holds one block at a time.
+_CNF_BLOCK_LINES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -70,8 +77,14 @@ def check_coloring(h: TripleHypergraph, col: Coloring) -> list[tuple[int, int, i
     return mono
 
 
-def _constraints(edges: Iterable[tuple[int, int, int]]) -> list[tuple[int, ...]]:
-    return sorted({tuple(sorted(set(e))) for e in edges})
+def _vertex_sets(edges: Iterable[tuple[int, int, int]]) -> list[tuple[int, ...]]:
+    """Each edge's distinct vertices, ascending, in edge order.
+
+    An edge with c its strictly largest index, as every edge the package
+    builds, gives (a, b, c), (b, a, c) or (a, c); any other triple is sorted.
+    """
+    return [((a, b, c) if a < b else (b, a, c) if b < a else (a, c)) if a < c > b
+            else tuple(sorted({a, b, c})) for a, b, c in edges]
 
 
 def _solve_backtracking(
@@ -82,13 +95,11 @@ def _solve_backtracking(
     Forward checking prunes only colors no proper completion uses, so the
     witness is the one plain backtracking in this order would find.
     """
-    cons = _constraints(edges)
-    if not cons:
+    vsets = _vertex_sets(edges)
+    if not vsets:
         return [0] * n
-    deg = [0] * n
-    for e in edges:
-        for v in set(e):
-            deg[v] += 1
+    cons = sorted(set(vsets))
+    deg = Counter(chain.from_iterable(vsets))  # an edge and its mirror count twice
     order = sorted(range(n), key=lambda v: (-deg[v], v))
     by_vertex: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
     for con in cons:
@@ -216,7 +227,9 @@ def solve_colorability(
     return col
 
 
-def export_dimacs(h: TripleHypergraph, k: int, caps: Caps = DEFAULT_CAPS) -> str:
+def export_dimacs(
+    h: TripleHypergraph, k: int, caps: Caps = DEFAULT_CAPS, out: TextIO | None = None
+) -> str | None:
     """DIMACS CNF whose satisfying assignments are the proper k-colorings.
 
     k = 2 uses one boolean per vertex (variable i+1 for vertex i): each edge
@@ -225,6 +238,10 @@ def export_dimacs(h: TripleHypergraph, k: int, caps: Caps = DEFAULT_CAPS) -> str
     at-most-one clauses per vertex, and per edge and color one all-different
     clause.  Comment lines record the vertex/variable map.  More than
     _CNF_CLAUSE_LIMIT clauses is a CapacityError, raised before any is built.
+
+    The text is made in blocks of at most _CNF_BLOCK_LINES lines.  With
+    `out`, each block is written to it as it comes and None is returned;
+    without, the blocks are joined into the returned string.
     """
     _check_k(k)
     nv = len(h.vertices)
@@ -234,31 +251,46 @@ def export_dimacs(h: TripleHypergraph, k: int, caps: Caps = DEFAULT_CAPS) -> str
                             f"edges has {message_int(n_clauses)} clauses, over the limit of "
                             f"{_CNF_CLAUSE_LIMIT}")
     labels = [vertex_label(v, caps) for v in h.vertices]
-    lit = [str(x) for x in range(nv * k + 1)]  # lit[x] is variable x's text
-    cons = [sorted({a, b, c}) for a, b, c in h.edges]
+    blocks = ("\n".join(lines) + "\n" for lines in _dimacs_blocks(h, k, labels, n_clauses))
+    if out is None:
+        return "".join(blocks)
+    out.writelines(blocks)
+    return None
+
+
+def _dimacs_blocks(
+    h: TripleHypergraph, k: int, labels: list[str], n_clauses: int
+) -> Iterator[list[str]]:
+    """The lines of `export_dimacs`, in lists of at most _CNF_BLOCK_LINES."""
+    nv = len(labels)
+    step = _CNF_BLOCK_LINES
+    for lo in range(0, nv, step):
+        yield [f"c v {i} {label} var {i + 1}" if k == 2 else
+               f"c v {i} {label} vars {i * k + 1}..{i * k + k}"
+               for i, label in enumerate(labels[lo:lo + step], lo)]
+    yield [f"p cnf {nv if k == 2 else nv * k} {n_clauses}"]
     if k == 2:
-        lines = [f"c v {i} {label} var {i + 1}" for i, label in enumerate(labels)]
-        clauses = []
-        for vs in cons:
-            pos = " ".join([lit[v + 1] for v in vs])
-            clauses += (pos + " 0", "-" + pos.replace(" ", " -") + " 0")
-        lines.append(f"p cnf {nv} {len(clauses)}")
+        # a vertex's row: its literal in an edge's positive clause, then in its negative one
+        pos = [f"{x} " for x in range(1, nv + 1)]
+        rows = list(zip(pos, ["-" + x for x in pos]))
     else:
-        lines = [f"c v {i} {label} vars {i * k + 1}..{i * k + k}"
-                 for i, label in enumerate(labels)]
-        clauses = []
-        for base in range(0, nv * k, k):
-            clauses.append(" ".join(lit[base + 1 : base + k + 1]) + " 0")
-            clauses += [f"-{base + c1} -{base + c2} 0"
-                        for c1, c2 in combinations(range(1, k + 1), 2)]
-        for vs in cons:
-            # each vertex's k variables, transposed to one row per color
-            rows = zip(*[lit[v * k + 1 : v * k + k + 1] for v in vs])
-            clauses += ["-" + " -".join(row) + " 0" for row in rows]
-        lines.append(f"p cnf {nv * k} {len(clauses)}")
-    lines += clauses
-    lines.append("")
-    return "\n".join(lines)
+        # a vertex's row: its k negative literals, one per color
+        neg = [f"-{x} " for x in range(1, nv * k + 1)]
+        rows = [tuple(neg[i:i + k]) for i in range(0, nv * k, k)]
+        # per vertex, the at-least-one clause as the pair (its positive literals, ""),
+        # then the pairwise at-most-one clauses
+        pairs = chain.from_iterable(chain((("".join(row).replace("-", ""), ""),),
+                                          combinations(row, 2)) for row in rows)
+        while lines := [f"{x}{y}0" for x, y in islice(pairs, step)]:
+            yield lines
+    if not h.edges:
+        return
+    # a constraint's clauses zip its vertices' rows; an empty row pads it to three
+    rows.append(("",) * len(rows[0]))
+    edges = [vs if len(vs) == 3 else (nv,) * (3 - len(vs)) + vs for vs in _vertex_sets(h.edges)]
+    triples = chain.from_iterable(starmap(zip, [(rows[a], rows[b], rows[c]) for a, b, c in edges]))
+    while lines := [f"{x}{y}{z}0" for x, y, z in islice(triples, step)]:
+        yield lines
 
 
 def decode_true_vars(h: TripleHypergraph, k: int, true_vars: Iterable[int]) -> Coloring:

@@ -4,14 +4,19 @@
 step per token.  The records hold only dicts with str keys, lists, tuples,
 str, int, bool and None, so this writer covers just those: strings go
 through the C `encode_basestring_ascii` (the ensure_ascii escaping), ints
-through `int.__repr__`, and each container is one `join`.
+through `int.__repr__`, and each container is one `join`.  A list of
+non-empty rows of ints, like a hypergraph's edges, is one `%` formatting of
+all its ints, with no call per row.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _string
 
 _int = int.__repr__  # what json writes for an int; bool is not an int here
+_ROW_TYPES = {list, tuple}
+_INT_TYPE = {int}
 
 
 def dumps(obj) -> str:
@@ -31,6 +36,15 @@ def _text(obj, nl: str) -> str:
     if t is list or t is tuple:
         if not obj:
             return "[]"
+        if set(map(type, obj)) <= _ROW_TYPES and all(obj) \
+                and set(map(type, chain.from_iterable(obj))) == _INT_TYPE:
+            # non-empty rows of ints, like "edges": one %d template per row length
+            # and one formatting pass over all the ints, which %d writes as repr does
+            row_nl = inner + "  "
+            row = {n: "[" + row_nl + ("," + row_nl).join(["%d"] * n) + inner + "]"
+                   for n in set(map(len, obj))}
+            return ("[" + inner + ("," + inner).join(map(row.__getitem__, map(len, obj)))
+                    + nl + "]") % tuple(chain.from_iterable(obj))
         items = [_string(v) if type(v) is str else _int(v) if type(v) is int
                  else _text(v, inner) for v in obj]
         return "[" + inner + ("," + inner).join(items) + nl + "]"

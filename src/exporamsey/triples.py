@@ -198,7 +198,12 @@ class ClosureMeta:
 
 @dataclass(frozen=True)
 class TripleHypergraph:
-    """Vertices in ascending value order; edges as vertex-index triples."""
+    """Vertices in ascending value order; edges as vertex-index triples.
+
+    Every edge (a, b, c) the package builds (`exp_closure`, `sub_hypergraph`,
+    `hypergraph_from_record`) has c as its strictly largest index, because
+    a^b > a, b for values of at least 2.
+    """
 
     vertices: tuple[PowerForm, ...]
     edges: tuple[tuple[int, int, int], ...]

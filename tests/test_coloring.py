@@ -331,6 +331,57 @@ def test_export_dimacs_matches_oracle():
             assert export_dimacs(h, k, caps) == expected
 
 
+def test_vertex_sets_match_sorted_set():
+    rng = random.Random(2047)
+    edges = [tuple(rng.randrange(6) for _ in range(3)) for _ in range(4000)]
+    edges += [(2, 7, 4), (7, 2, 4), (3, 1, 5), (1, 3, 5)]
+    # (a == b, b == c, a == c, c the strict largest): all seven possible shapes
+    shapes = Counter((a == b, b == c, a == c, a < c > b) for a, b, c in edges)
+    assert len(shapes) == 7
+    assert min(shapes.values()) >= 50
+    assert coloring._vertex_sets(edges) == [tuple(sorted(set(e))) for e in edges]
+    h = exp_closure({2, 4}, 2)
+    labels = [v.root ** v.exponent for v in h.vertices]
+    named = {(labels[a], labels[b], labels[c]) for a, b, c in h.edges}
+    assert {(2, 4, 16), (4, 2, 16), (2, 2, 4)} <= named
+    assert all(a < c > b for a, b, c in h.edges)
+    assert coloring._vertex_sets(h.edges) == [tuple(sorted(set(e))) for e in h.edges]
+
+
+class _Blocks:
+    """A text stream that keeps each write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+
+    def writelines(self, texts):
+        for text in texts:
+            self.write(text)
+
+
+def test_export_dimacs_streams_bounded_blocks(monkeypatch):
+    cases = [exp_closure({2, 3}, 2), exp_closure({3}, 0), exp_closure({2}, 1),
+             _random_hypergraph(random.Random(5), 12, 30, Caps())]
+    expected = {(i, k): export_dimacs(h, k) for i, h in enumerate(cases) for k in (2, 3, 5)}
+    for limit in (1, 2, 3, 7, 64):
+        monkeypatch.setattr(coloring, "_CNF_BLOCK_LINES", limit)
+        for i, h in enumerate(cases):
+            for k in (2, 3, 5):
+                assert export_dimacs(h, k) == expected[i, k]
+                out = _Blocks()
+                assert export_dimacs(h, k, out=out) is None
+                assert "".join(out.writes) == expected[i, k]
+                assert all(0 < w.count("\n") <= limit and w.endswith("\n") for w in out.writes)
+    # past the clause limit nothing is written
+    out = _Blocks()
+    with pytest.raises(CapacityError):
+        export_dimacs(exp_closure({2}, 1), 3000, out=out)
+    assert out.writes == []
+
+
 def test_count_mono_examples():
     rule = parse_rule("n % 2", 2)
     counts = count_mono_triples(rule, 30)

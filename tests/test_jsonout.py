@@ -5,7 +5,9 @@ import random
 
 import pytest
 
-from exporamsey import jsonout
+from exporamsey import exp_closure, jsonout
+from exporamsey.cli import main
+from exporamsey.triples import hypergraph_record
 
 _CHARS = ['"', "\\", "/", "\n", "\r", "\t", "\b", "\f", "\x00", "\x1f", "\x7f", "a", "Z", " ",
           "é", "ß", "Ω", "€", " ", "﻿", "\U0001f600", "\U00010348", "7", "{", "]"]
@@ -36,8 +38,12 @@ def _value(rng, depth):
         return items
     if kind == 5:
         return tuple(items)
-    if kind == 6:  # a list of scalar lists, like "edges"
-        return [[_int(rng) for _ in range(3)] for _ in range(rng.randrange(4))]
+    if kind == 6:  # rows of ints, like "edges", sometimes with a bool or an empty row
+        rows = [[_int(rng) for _ in range(rng.choice((3, 3, 1, 5)))]
+                for _ in range(rng.randrange(6))]
+        if rows and rng.random() < 0.3:
+            rows[rng.randrange(len(rows))] = rng.choice(([], [True], (), [1, False]))
+        return [tuple(r) if rng.random() < 0.2 else r for r in rows]
     return {_string(rng): v for v in items}
 
 
@@ -52,6 +58,13 @@ def test_random_values_match_json_dumps():
     "plain", "quote \" backslash \\ slash /", "\x00\x01\x1f\x7f", "ümlaut Ω   \U0001f600",
     {"kéy\n": ["v\"", ("t", 1)]}, (), [()], ((1, 2), [3, (4,)]), {"a": (True, None)},
     [True, False, None, 0, -1, 10 ** 1000, -(10 ** 1000)], {}, [], [{}, []], {"": {}},
+    # rows of ints, and rows that leave that shape
+    [[1, 2, 3], [4, True, 6]], [[1, 2, 3], [None, 5, 6]], [[1, "2", 3]],
+    [[1, 2, 3], [], [4, 5, 6]], [[]], [(1, 2, 3), (4, 5, 6)], ((1, 2), [3, 4]),
+    [[1, 2, 3], [4, [5], 6]], [[1, [2, 3]]], [[1], [2, 3], [4, 5, 6, 7], [8, 9, 10]],
+    [[10 ** 1000, -(10 ** 1001)], [-1, 0]], {"edges": [[0, 0, 1], [0, 1, 2]], "count": 2},
+    [[1, 2], {"a": 1}], [[1, 2], "s"], [[1, 2], 3], [[True, False]], [[False]],
+    [["%d", "%s"], [1, 2]],
 ])
 def test_edge_cases_match_json_dumps(obj):
     assert jsonout.dumps(obj) == json.dumps(obj, indent=2) + "\n"
@@ -63,7 +76,23 @@ def test_output_is_ascii_and_tuples_are_lists():
     assert text == '{\n  "\\u00e9": [\n    "\\ud83d\\ude00",\n    1\n  ]\n}\n'
 
 
-@pytest.mark.parametrize("obj", [1.5, {1: "int key"}, {"s"}, b"bytes"])
+@pytest.mark.parametrize("obj", [1.5, {1: "int key"}, {"s"}, b"bytes", [[1, 2.0, 3]],
+                                 [[1, 2], [3, 1.5]], [[1, 2], [b"x"]], [[1], [{"s"}]],
+                                 [(1, 2), {1: 2}]])
 def test_other_types_refused(obj):
     with pytest.raises(TypeError):
         jsonout.dumps(obj)
+
+
+def test_closure_and_check_records_match_json_dumps(tmp_path, capsys):
+    rec = hypergraph_record(exp_closure({2, 3, 5, 7}, 2))
+    assert len(rec["edges"]) > 100
+    assert jsonout.dumps(rec) == json.dumps(rec, indent=2) + "\n"
+    coloring = tmp_path / "col.json"
+    coloring.write_text(json.dumps({"k": 2, "colors": {"2": 0, "4": 0, "16": 1, "256": 0}}))
+    assert main(["color", "check", "--seeds", "2", "--depth", "2",
+                 "--coloring", str(coloring)]) == 0
+    out = capsys.readouterr().out
+    check = json.loads(out)
+    assert check["count"] == 2 and check["monochromatic_edges"] == [[0, 0, 1], [1, 1, 3]]
+    assert out == json.dumps(check, indent=2) + "\n"
