@@ -171,7 +171,7 @@ def _read_json(path: str, what: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad UTF-8, bad JSON, too many digits
         raise DomainError(f"cannot read {what}: {exc}") from exc
 
 
@@ -197,7 +197,7 @@ def _hypergraph_from_args(args, caps) -> tri_mod.TripleHypergraph:
 # generator subcommand: (record kind, generator); the generator is looked up
 # in `structures` at call time, so a rebound module attribute takes effect
 _STRUCTURES = {
-    "fs": ("FS", lambda args, caps: struct_mod.fs(args.seeds, caps)),
+    "fs": ("FS", lambda args, caps: struct_mod.fs(args.seeds)),
     "fp": ("FP", lambda args, caps: struct_mod.fp(args.seeds, caps)),
     "fe1": ("FE1", lambda args, caps: struct_mod.fe1(args.seeds, args.depth, caps)),
     "fe2": ("FE2", lambda args, caps: struct_mod.fe2(args.seeds, args.depth, caps)),
@@ -251,7 +251,7 @@ def _run_color(args, caps: Caps, out) -> int:
         h = _hypergraph_from_args(args, caps)
         col = col_mod.coloring_from_record(h, _read_json(args.coloring, "coloring file"), caps)
         mono = col_mod.check_coloring(h, col)
-        _dump({"monochromatic_edges": [list(e) for e in mono], "count": len(mono)}, out)
+        _dump({"monochromatic_edges": mono, "count": len(mono)}, out)
         return EXIT_OK
     assert args.action == "rule-count"
     rule = col_mod.parse_rule(args.rule, args.k)

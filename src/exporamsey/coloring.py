@@ -70,11 +70,8 @@ def check_coloring(h: TripleHypergraph, col: Coloring) -> list[tuple[int, int, i
         raise DomainError(
             f"partial assignment: {len(col.colors)} colors for {len(h.vertices)} vertices"
         )
-    mono = []
-    for a, b, c in h.edges:
-        if col.colors[a] == col.colors[b] == col.colors[c]:
-            mono.append((a, b, c))
-    return mono
+    colors = col.colors
+    return [e for e in h.edges if colors[e[0]] == colors[e[1]] == colors[e[2]]]
 
 
 def _vertex_sets(edges: Iterable[tuple[int, int, int]]) -> list[tuple[int, ...]]:
@@ -93,7 +90,9 @@ def _solve_backtracking(
     """First proper coloring in static (-degree, index) order, colors ascending.
 
     Forward checking prunes only colors no proper completion uses, so the
-    witness is the one plain backtracking in this order would find.
+    witness is the one plain backtracking in this order would find.  The masks
+    hold min(k, n + 1) colors: a domain loses at most n - 1, so from n + 1 on
+    none is ever forced, and every decision takes a color below n.
     """
     vsets = _vertex_sets(edges)
     if not vsets:
@@ -107,7 +106,7 @@ def _solve_backtracking(
             by_vertex[v].append(con)
 
     colors = [-1] * n
-    domain = [(1 << k) - 1] * n  # bitmask of the colors still open to each vertex
+    domain = [(1 << min(k, n + 1)) - 1] * n  # bitmask of the colors still open to each vertex
     trail: list[int] = []  # assigned vertices, in assignment order
     removed: list[tuple[int, int]] = []  # (vertex, color bit) taken from its domain
 

@@ -26,7 +26,7 @@ from .config import Caps, DEFAULT_CAPS
 from .errors import CapacityError, DomainError, OracleRangeError, message_int
 from .ipsets import SetSpec
 from .structures import FeLevel, fe1, fe2, fs, fp, max_element_value, validate_seeds
-from .tower import PowerForm, evaluate, int_text, powerform_record, sorted_forms
+from .tower import PowerForm, evaluate, int_text, powerform_record
 
 # Bit-length ceiling for integers materialized only to ask an oracle about.
 _MEMBERSHIP_BIT_LIMIT = 1 << 22
@@ -74,7 +74,7 @@ def _certify(spec: SetSpec, seeds, depth: int, kind: str, caps: Caps):
         return GreedyFailure(step=depth, reason="capacity",
                              detail=f"{level.dropped_count} tower elements dropped")
     checked = []
-    for pf in sorted_forms(level.elements):
+    for pf in level.elements:
         try:
             value = evaluate(pf, caps)
             member = spec.contains(value)
@@ -122,7 +122,7 @@ def _greedy_fe(
                     n_i = max_element_value(level, caps)
                     others = range(2, n_i + 1)
                 else:
-                    others = sorted(evaluate(pf, caps) for pf in level.elements)
+                    others = [evaluate(pf, caps) for pf in level.elements]
             except CapacityError:
                 what = "maximum" if type_one else "element"
                 return GreedyFailure(step=step, reason="oracle range",
@@ -398,7 +398,7 @@ def _level_values(level: FeLevel, caps: Caps):
     """The level's values, ascending, evaluated lazily; a dropped element is a CapacityError."""
     if level.dropped_count:
         raise CapacityError(f"{level.dropped_count} tower elements dropped")
-    return (evaluate(pf, caps) for pf in sorted_forms(level.elements))
+    return (evaluate(pf, caps) for pf in level.elements)
 
 
 def verify_fecor(
@@ -412,7 +412,7 @@ def verify_fecor(
     x_seq = validate_seeds(xs, depth)
     y_seq = validate_seeds(ys, depth)
     return FecorReport(checks=(
-        _containment_check(spec, "FS(X)", lambda: sorted(fs(x_seq, caps))),
+        _containment_check(spec, "FS(X)", lambda: sorted(fs(x_seq))),
         _containment_check(spec, "FE1(X)", lambda: _level_values(fe1(x_seq, depth, caps), caps)),
         _containment_check(spec, "FP(Y)", lambda: sorted(fp(y_seq, caps))),
         _containment_check(spec, "FE2(Y)", lambda: _level_values(fe2(y_seq, depth, caps), caps)),
@@ -442,10 +442,10 @@ def failure_record(f: GreedyFailure) -> dict:
 def state_record(state: GreedyState) -> dict:
     return {
         "x": [int_text(v) for v in state.chosen],
-        "blocks": [list(b) for b in state.blocks],
+        "blocks": state.blocks,
         "level_max": [int_text(v) for v in state.level_max],
         "f_spec": state.f_spec,
-        "window": list(state.window) if state.window else None,
+        "window": state.window or None,
     }
 
 

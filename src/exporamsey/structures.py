@@ -22,10 +22,10 @@ _SUBSET_SIZE_GUARD = 25
 
 @dataclass(frozen=True)
 class FeLevel:
-    """One unrolled level of an exponential-tower recursion."""
+    """One unrolled level of an exponential-tower recursion; elements ascend."""
 
     level: int
-    elements: frozenset[PowerForm]
+    elements: tuple[PowerForm, ...]
     dropped_count: int
 
 
@@ -38,7 +38,7 @@ def _carrier(xs: Iterable[int]) -> list[int]:
     return vals
 
 
-def fs(xs: Iterable[int], caps: Caps = DEFAULT_CAPS) -> set[int]:
+def fs(xs: Iterable[int]) -> set[int]:
     """All sums of non-empty subsets of xs."""
     sums: set[int] = set()
     for x in _carrier(xs):
@@ -61,7 +61,7 @@ def fp(xs: Iterable[int], caps: Caps = DEFAULT_CAPS) -> set[int]:
     return prods
 
 
-def validate_seeds(seeds: Sequence[int], level: int | None = None) -> tuple[int, ...]:
+def validate_seeds(seeds: Sequence[int], level: int) -> tuple[int, ...]:
     """Strictly increasing explicit seeds >= 2; enough of them for `level`."""
     seq = tuple(seeds)
     if not seq:
@@ -70,11 +70,10 @@ def validate_seeds(seeds: Sequence[int], level: int | None = None) -> tuple[int,
         raise DomainError("tower seeds must be integers >= 2")
     if any(a >= b for a, b in zip(seq, seq[1:])):
         raise DomainError("seed sequence must be strictly increasing")
-    if level is not None:
-        if level < 0:
-            raise DomainError("level must be >= 0")
-        if level + 1 > len(seq):
-            raise DomainError(f"level {level} needs {level + 1} seeds, got {len(seq)}")
+    if level < 0:
+        raise DomainError("level must be >= 0")
+    if level + 1 > len(seq):
+        raise DomainError(f"level {level} needs {level + 1} seeds, got {len(seq)}")
     return seq
 
 
@@ -92,7 +91,7 @@ def _fe(seeds: Sequence[int], level: int, caps: Caps, type_one: bool) -> FeLevel
                 dropped += 1
         new.add(x)
         elements |= new
-    return FeLevel(level=level, elements=frozenset(elements), dropped_count=dropped)
+    return FeLevel(level=level, elements=tuple(sorted_forms(elements)), dropped_count=dropped)
 
 
 def fe1(seeds: Sequence[int], level: int, caps: Caps = DEFAULT_CAPS) -> FeLevel:
@@ -140,7 +139,7 @@ def pow_image_exp(s: Iterable[int], n: int, caps: Caps = DEFAULT_CAPS) -> set[in
 
 def max_element_value(fe: FeLevel, caps: Caps = DEFAULT_CAPS) -> int:
     """Explicit value of the largest element; capacity error if symbolic."""
-    top = max(fe.elements)
+    top = fe.elements[-1]
     v = try_evaluate(top, caps)
     if v is None:
         raise CapacityError(f"largest tower element {top} exceeds value_bit_cap")
@@ -150,15 +149,13 @@ def max_element_value(fe: FeLevel, caps: Caps = DEFAULT_CAPS) -> int:
 def level_record(kind: str, seeds: Sequence[int], result, caps: Caps = DEFAULT_CAPS) -> dict:
     """JSON record shared by the four generator kinds."""
     if kind in ("FE1", "FE2"):
-        assert isinstance(result, FeLevel)
         return {
             "kind": kind,
             "seeds": [int_text(x) for x in seeds],
             "level": result.level,
-            "elements": [powerform_record(e, caps) for e in sorted_forms(result.elements)],
+            "elements": [powerform_record(e, caps) for e in result.elements],
             "dropped": result.dropped_count,
         }
-    assert kind in ("FS", "FP")
     return {
         "kind": kind,
         "seeds": [int_text(x) for x in sorted(set(seeds))],

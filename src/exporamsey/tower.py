@@ -7,9 +7,9 @@ equality, hashing and total order all work for numbers far too large to
 materialize.
 
 Ordering of two forms with different roots compares exponent * log2(root)
-using exact rational interval bounds with adaptive precision doubling.
-Distinct canonical forms have distinct values, so the intervals always
-separate at some finite precision.
+using certified interval bounds over a shared 2**prec denominator, as
+integers, with adaptive precision doubling.  Distinct canonical forms have
+distinct values, so the intervals always separate at some finite precision.
 
 Sorting does not call that exact `compare` per pair.  Each form gets the
 float key log2(exponent) + log2(log2(root)), which is log2(log2(value)):
@@ -65,7 +65,6 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cmp_to_key, total_ordering
 from operator import itemgetter
 
@@ -77,7 +76,7 @@ LT, EQ, GT = -1, 0, 1
 # Materialize both values for comparison below this bit length.
 _EXPLICIT_CMP_BITS = 1 << 15
 # Adaptive-precision ceiling; separation is guaranteed mathematically long
-# before this, so hitting it indicates a bug rather than a hard input.
+# before this, so reaching it (a CapacityError) marks a bug, not a hard input.
 _MAX_CMP_PRECISION = 1 << 24
 # Relative tie width of the float sort key; see the module docstring.  A key
 # is A + B with A = log2(e) >= 0 and B = log2(log2(r)) >= 0.  math.log2 of
@@ -321,8 +320,8 @@ def power(a: PowerForm, b: PowerForm, caps: Caps = DEFAULT_CAPS) -> PowerForm:
     return _canonical(a.root, new_exp)
 
 
-def _log2_bounds(r: int, prec: int) -> tuple[Fraction, Fraction]:
-    """Certified rational bounds lo <= log2(r) <= hi with width ~ 2**(1-prec).
+def _log2_bounds(r: int, prec: int) -> tuple[int, int]:
+    """Certified bounds lo <= 2**prec * log2(r) <= hi with hi - lo ~ 2.
 
     Squares r `prec` times keeping an s-bit mantissa with outward rounding,
     then reads the binary logarithm off the bit length: for the final bounds
@@ -344,11 +343,7 @@ def _log2_bounds(r: int, prec: int) -> tuple[Fraction, Fraction]:
         if hs > 0:
             hi_m = -((-hi_m) >> hs)  # ceil shift keeps the upper bound valid
             hi_e += hs
-    scale = 1 << prec
-    return (
-        Fraction(lo_m.bit_length() - 1 + lo_e, scale),
-        Fraction(hi_m.bit_length() + hi_e, scale),
-    )
+    return lo_m.bit_length() - 1 + lo_e, hi_m.bit_length() + hi_e
 
 
 def compare(a: PowerForm, b: PowerForm) -> int:
@@ -364,15 +359,11 @@ def compare(a: PowerForm, b: PowerForm) -> int:
     if lo_b > hi_a:
         return LT
     if hi_a <= _EXPLICIT_CMP_BITS and hi_b <= _EXPLICIT_CMP_BITS:
-        va = a.root ** a.exponent
-        vb = b.root ** b.exponent
-        if va < vb:
-            return LT
-        if va > vb:
-            return GT
-        return EQ  # unreachable for canonical forms with distinct roots
+        # distinct canonical roots: the values differ
+        return LT if a.root ** a.exponent < b.root ** b.exponent else GT
     prec = 32
     while prec <= _MAX_CMP_PRECISION:
+        # both logs are bounded over the same 2**prec denominator
         ra_lo, ra_hi = _log2_bounds(a.root, prec)
         rb_lo, rb_hi = _log2_bounds(b.root, prec)
         if a.exponent * ra_hi < b.exponent * rb_lo:
@@ -380,7 +371,7 @@ def compare(a: PowerForm, b: PowerForm) -> int:
         if b.exponent * rb_hi < a.exponent * ra_lo:
             return GT
         prec <<= 1
-    raise ArithmeticError(f"comparison precision exhausted for {a} vs {b}")
+    raise CapacityError(f"comparison precision exhausted for {a} vs {b}")
 
 
 def sorted_forms(forms) -> list[PowerForm]:
@@ -448,13 +439,16 @@ def _record_int(value) -> int:
     raise DomainError(f"expected an integer or a decimal string, got {value!r}")
 
 
-def powerform_from_record(rec: dict) -> PowerForm:
+def _powerform_fields(rec: dict) -> tuple[int, int]:
+    """The (root, exp) integers of a PowerForm record, not yet checked as a form."""
     try:
-        root = _record_int(rec["root"])
-        exp = _record_int(rec["exp"])
+        return _record_int(rec["root"]), _record_int(rec["exp"])
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed PowerForm record: {rec!r}") from exc
-    return PowerForm(root, exp)
+
+
+def powerform_from_record(rec: dict) -> PowerForm:
+    return PowerForm(*_powerform_fields(rec))
 
 
 def vertex_label(a: PowerForm, caps: Caps = DEFAULT_CAPS) -> str:

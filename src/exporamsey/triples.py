@@ -19,13 +19,13 @@ from .tower import (
     LT,
     PowerForm,
     _canonical,
+    _powerform_fields,
     _record_int,
     _try_value,
     compare,
     int_text,
     normalize,
     powerform_record,
-    powerform_from_record,
     sorted_forms,
     try_evaluate,
 )
@@ -182,7 +182,7 @@ def _edges(verts: Sequence[PowerForm], caps: Caps) -> list[tuple[int, int, int]]
 def triples_within(forms: Iterable[PowerForm], caps: Caps = DEFAULT_CAPS) -> list[ExpTriple]:
     """All triples with a, b, c in the set and b explicitly evaluable."""
     verts = sorted_forms(set(forms))
-    return [ExpTriple(verts[a], verts[b], verts[c]) for a, b, c in _edges(verts, caps)]
+    return [_triple(verts[a], verts[b], verts[c]) for a, b, c in _edges(verts, caps)]
 
 
 @dataclass(frozen=True)
@@ -208,10 +208,6 @@ class TripleHypergraph:
     vertices: tuple[PowerForm, ...]
     edges: tuple[tuple[int, int, int], ...]
     meta: ClosureMeta
-
-    def edge_forms(self, edge: tuple[int, int, int]) -> ExpTriple:
-        ai, bi, ci = edge
-        return ExpTriple(self.vertices[ai], self.vertices[bi], self.vertices[ci])
 
 
 def exp_closure(seeds: Iterable[int], depth: int, caps: Caps = DEFAULT_CAPS) -> TripleHypergraph:
@@ -289,7 +285,7 @@ def sub_hypergraph(h: TripleHypergraph, indices: Iterable[int]) -> TripleHypergr
 def hypergraph_record(h: TripleHypergraph, caps: Caps = DEFAULT_CAPS) -> dict:
     return {
         "vertices": [powerform_record(v, caps) for v in h.vertices],
-        "edges": [list(e) for e in h.edges],
+        "edges": h.edges,
         "meta": {
             "seeds": [int_text(s) for s in h.meta.seeds],
             "depth": h.meta.depth,
@@ -305,8 +301,9 @@ def hypergraph_record(h: TripleHypergraph, caps: Caps = DEFAULT_CAPS) -> dict:
 
 
 def hypergraph_from_record(rec: dict, caps: Caps = DEFAULT_CAPS) -> TripleHypergraph:
+    """A checked hypergraph record; a vertex past the caps is a CapacityError."""
     try:
-        verts = tuple(powerform_from_record(r) for r in rec["vertices"])
+        fields = [_powerform_fields(r) for r in rec["vertices"]]
         raw_edges = [tuple(_record_int(i) for i in e) for e in rec["edges"]]
         meta_rec = rec.get("meta", {})
         caps_rec = meta_rec.get("caps", {})
@@ -319,6 +316,15 @@ def hypergraph_from_record(rec: dict, caps: Caps = DEFAULT_CAPS) -> TripleHyperg
             dropped_count=_record_int(meta_rec.get("dropped", 0)),
             truncated_count=_record_int(meta_rec.get("truncated", 0)),
         )
+        # before the perfect-power test and the order check, which wide vertices make slow
+        for root, exp in fields:
+            if root.bit_length() > caps.value_bit_cap:
+                raise CapacityError(f"hypergraph vertex root of {root.bit_length()} bits "
+                                    f"exceeds value_bit_cap {caps.value_bit_cap}")
+            if exp.bit_length() > caps.exp_bit_cap:
+                raise CapacityError(f"hypergraph vertex exponent of {exp.bit_length()} bits "
+                                    f"exceeds exp_bit_cap {caps.exp_bit_cap}")
+        verts = tuple(PowerForm(root, exp) for root, exp in fields)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed hypergraph record: {exc}") from exc
     if any(compare(x, y) != LT for x, y in zip(verts, verts[1:])):

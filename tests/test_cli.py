@@ -246,6 +246,41 @@ def test_non_integer_hypergraph_record_rejected(tmp_path, capsys):
         assert "malformed hypergraph record" in capsys.readouterr().err
 
 
+def test_hypergraph_record_past_the_caps_is_a_capacity_error(tmp_path, capsys):
+    _, rec = run_json("closure", "--seeds", "2", "--depth", "1")
+    f = tmp_path / "h.json"
+    f.write_text(json.dumps(dict(rec, vertices=[{"root": str((1 << 12000) + 1), "exp": "1"}],
+                                 edges=[])))
+    assert run_cli("color", "solve", "--hypergraph", str(f), "--k", "2") == (2, "")
+    assert capsys.readouterr().err == (
+        "error: hypergraph vertex root of 12001 bits exceeds value_bit_cap 4096\n")
+
+
+def test_near_tie_past_the_precision_ceiling_exits_2(tmp_path, capsys, monkeypatch):
+    # 2^50508 < 3^31867 by a factor of 2^0.00001: the order check needs 64 bits of log2
+    _, rec = run_json("closure", "--seeds", "2", "--depth", "1")
+    f = tmp_path / "h.json"
+    f.write_text(json.dumps(dict(rec, vertices=[{"root": "2", "exp": "50508"},
+                                                {"root": "3", "exp": "31867"}], edges=[])))
+    assert run_json("color", "solve", "--hypergraph", str(f), "--k", "2")[0] == 0
+    capsys.readouterr()
+    monkeypatch.setattr(exporamsey.tower, "_MAX_CMP_PRECISION", 32)
+    assert run_cli("color", "solve", "--hypergraph", str(f), "--k", "2") == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: comparison precision exhausted") and err.count("\n") == 1
+
+
+def test_color_solve_past_the_vertex_count():
+    # 28 vertices: from k = 29 on, the record differs only in its k
+    n = len(exporamsey.exp_closure({2, 3}, 2).vertices)
+    outs = {}
+    for k in (n + 1, n + 2, 10 ** 12):
+        code, out = run_cli("color", "solve", "--seeds", "2,3", "--depth", "2", "--k", str(k))
+        assert code == 0 and out.count(f'"k": {k},') == 2
+        outs[k] = out.replace(f'"k": {k},', '"k": K,')
+    assert outs[n + 1] == outs[n + 2] == outs[10 ** 12]
+
+
 def test_ip_transform():
     code, data = run_json(
         "ip", "transform", "--op", "log", "--n", "2",
@@ -434,6 +469,10 @@ def test_unreadable_json_files_are_domain_errors(tmp_path, capsys, argv, what):
         b"\xff{}".decode("utf-8")
     assert run_cli(*argv) == (1, "")
     assert capsys.readouterr().err == f"error: cannot read {what}: {bad.value}\n"
+    # a number past the int-to-str digit limit, where there is one, is unreadable too
+    f.write_text("[" + "1" * 5000 + "]")
+    assert run_cli(*argv) == (1, "")
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 @pytest.mark.parametrize("flags", [

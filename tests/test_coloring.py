@@ -157,6 +157,33 @@ def test_solver_agreement_dense_random_constraints_many_colors(k, max_n, seed, d
     assert statuses == {True, False}  # both SAT and UNSAT were exercised
 
 
+def _outcome(n, edges, k, budget):
+    try:
+        return solve_constraints(n, edges, k, caps=Caps(search_budget=budget))
+    except CapacityError as exc:
+        return str(exc)
+
+
+def test_colors_past_the_vertex_count_change_nothing():
+    # k = n + 1 already leaves every domain two colors or more, so more colors
+    # give the same witness, or the same budget error at the same attempt
+    fano = [(0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6), (2, 4, 5)]
+    outcomes = [_outcome(7, fano, 8, budget) for budget in range(1, 10)]
+    assert outcomes == [_outcome(7, fano, 10 ** 6, budget) for budget in range(1, 10)]
+    assert outcomes[5] == "backtracking search budget exceeded: 6 color attempts"
+    assert outcomes[6] == first_proper_coloring(7, fano, 8)
+    # the color masks stay as wide as the vertex count needs
+    h = exp_closure({2, 3}, 2)
+    tracemalloc.start()
+    try:
+        col = solve_colorability(h, 10 ** 7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert col.k == 10 ** 7 and col.colors == solve_colorability(h, len(h.vertices) + 1).colors
+
+
 def test_forward_checking_colors_full_closure():
     h = exp_closure({2}, 4)  # 112 vertices, 512 edges
     for k in (3, 4):

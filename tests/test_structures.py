@@ -22,6 +22,7 @@ from exporamsey.structures import (
     pow_image_base,
     pow_image_exp,
 )
+from exporamsey.tower import sorted_forms
 
 from oracles import fe1_oracle, fe2_oracle, fp_oracle, fs_oracle
 
@@ -100,6 +101,18 @@ def test_fe_against_definition_oracle_small():
             got2 = fe2(seeds, level)
             assert canonical_set(got2) == want2
             assert got2.dropped_count == drop2
+
+
+def test_fe_levels_are_built_ascending():
+    # readers take a level's order and its largest element as built
+    rng = random.Random(83)
+    for _ in range(15):
+        seeds = sorted(rng.sample(range(2, 60), 4))
+        for level in range(4):
+            for gen in (fe1, fe2):
+                got = gen(seeds, level).elements
+                assert type(got) is tuple
+                assert got == tuple(sorted_forms(set(got)))
 
 
 def test_fe_cardinality_bound_and_monotonicity():

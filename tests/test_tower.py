@@ -312,6 +312,16 @@ def test_compare_close_symbolic_pair():
     assert compare(b, a) == LT
 
 
+def test_compare_precision_ceiling_is_a_capacity_error(monkeypatch):
+    # 31867*log2(3) = 50508.00001..., which 32 bits of log2 precision do not separate
+    a = PowerForm(2, 50508)
+    b = PowerForm(3, 31867)
+    assert compare(a, b) == LT
+    monkeypatch.setattr(tower, "_MAX_CMP_PRECISION", 32)
+    with pytest.raises(CapacityError, match="comparison precision exhausted for 2"):
+        compare(a, b)
+
+
 def test_roundtrip_random():
     rng = random.Random(13)
     for _ in range(100000):

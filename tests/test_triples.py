@@ -1,6 +1,7 @@
 """Triple enumeration and closure hypergraphs against double-loop oracles."""
 
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -17,6 +18,7 @@ from exporamsey import (
     sub_hypergraph,
     triples_within,
 )
+from exporamsey import tower as tower_mod
 from exporamsey import triples
 from exporamsey.triples import (
     ExpTriple,
@@ -258,11 +260,36 @@ def test_hypergraph_record_roundtrip():
             hypergraph_from_record(dict(rec, vertices=bad_verts, edges=[]))
 
 
+def test_hypergraph_record_vertices_bounded_by_caps(monkeypatch):
+    rec = hypergraph_record(exp_closure({2, 3}, 2))
+    # a closure record written under the same caps reads back
+    assert hypergraph_from_record(rec).vertices == exp_closure({2, 3}, 2).vertices
+    # refused before any perfect-power test or comparison
+    def unreachable(*args):
+        raise AssertionError("a vertex past the caps reached a later check")
+
+    monkeypatch.setattr(tower_mod, "perfect_power", unreachable)
+    monkeypatch.setattr(triples, "compare", unreachable)
+    wide_root = dict(rec, vertices=[{"root": str((1 << 12000) + 1), "exp": "1"}], edges=[])
+    wide_exp = dict(rec, vertices=[{"root": 2, "exp": 1 << 65536}], edges=[])
+    start = time.perf_counter()
+    with pytest.raises(CapacityError, match="root of 12001 bits exceeds value_bit_cap 4096"):
+        hypergraph_from_record(wide_root)
+    with pytest.raises(CapacityError, match="exponent of 65537 bits exceeds exp_bit_cap 65536"):
+        hypergraph_from_record(wide_exp)
+    assert time.perf_counter() - start < 0.5
+    with pytest.raises(CapacityError, match="exp_bit_cap 4"):
+        hypergraph_from_record(rec, Caps(exp_bit_cap=4))
+    # a malformed record is still a domain error, whatever its vertices
+    with pytest.raises(DomainError, match="malformed hypergraph record"):
+        hypergraph_from_record(dict(wide_root, edges=[["x", 0, 0]]))
+
+
 def test_closure_random_subsets_still_valid():
     rng = random.Random(37)
     h = exp_closure({2, 3}, 2)
     for _ in range(20):
         k = rng.randrange(1, len(h.vertices) + 1)
         sub = sub_hypergraph(h, rng.sample(range(len(h.vertices)), k))
-        for e in sub.edges:
-            sub.edge_forms(e)  # validates the triple relation
+        for a, b, c in sub.edges:
+            ExpTriple(sub.vertices[a], sub.vertices[b], sub.vertices[c])  # checks the relation
