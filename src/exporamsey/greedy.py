@@ -304,14 +304,23 @@ def _search_blocks(
         if f_j is None:
             undecidable += 1
             return None
+        # Within this frame the verdict depends on x_j alone, and many blocks
+        # share a value: ask once per value (None: undecidable).
+        verdicts: dict[int, bool | None] = {}
         for block in itertools.islice(candidates, bisect.bisect_left(candidates, (start,)), None):
             explored += 1
             if explored > caps.search_budget:
                 raise _SearchBudget()
             x_j = _combine(ys, block, multiplicative)
-            try:
-                ok = _families_hold(spec, xs + [x_j], level_max + [f_j], multiplicative)
-            except (OracleRangeError, CapacityError):
+            if x_j in verdicts:
+                ok = verdicts[x_j]
+            else:
+                try:
+                    ok = _families_hold(spec, xs + [x_j], level_max + [f_j], multiplicative)
+                except (OracleRangeError, CapacityError):
+                    ok = None
+                verdicts[x_j] = ok
+            if ok is None:
                 undecidable += 1
                 continue
             if not ok:

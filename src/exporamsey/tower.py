@@ -447,8 +447,22 @@ def _powerform_fields(rec: dict) -> tuple[int, int]:
         raise DomainError(f"malformed PowerForm record: {rec!r}") from exc
 
 
-def powerform_from_record(rec: dict) -> PowerForm:
-    return PowerForm(*_powerform_fields(rec))
+def _check_record_caps(root: int, exp: int, caps: Caps, what: str) -> None:
+    """Refuse a record's root or exponent past the caps, before the
+    perfect-power test and the comparisons that wide values make slow."""
+    if root.bit_length() > caps.value_bit_cap:
+        raise CapacityError(f"{what} root of {root.bit_length()} bits "
+                            f"exceeds value_bit_cap {caps.value_bit_cap}")
+    if exp.bit_length() > caps.exp_bit_cap:
+        raise CapacityError(f"{what} exponent of {exp.bit_length()} bits "
+                            f"exceeds exp_bit_cap {caps.exp_bit_cap}")
+
+
+def powerform_from_record(rec: dict, caps: Caps = DEFAULT_CAPS) -> PowerForm:
+    """A checked PowerForm record; a root or exponent past the caps is a CapacityError."""
+    root, exp = _powerform_fields(rec)
+    _check_record_caps(root, exp, caps, "PowerForm")
+    return PowerForm(root, exp)
 
 
 def vertex_label(a: PowerForm, caps: Caps = DEFAULT_CAPS) -> str:

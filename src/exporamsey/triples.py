@@ -19,6 +19,7 @@ from .tower import (
     LT,
     PowerForm,
     _canonical,
+    _check_record_caps,
     _powerform_fields,
     _record_int,
     _try_value,
@@ -318,12 +319,7 @@ def hypergraph_from_record(rec: dict, caps: Caps = DEFAULT_CAPS) -> TripleHyperg
         )
         # before the perfect-power test and the order check, which wide vertices make slow
         for root, exp in fields:
-            if root.bit_length() > caps.value_bit_cap:
-                raise CapacityError(f"hypergraph vertex root of {root.bit_length()} bits "
-                                    f"exceeds value_bit_cap {caps.value_bit_cap}")
-            if exp.bit_length() > caps.exp_bit_cap:
-                raise CapacityError(f"hypergraph vertex exponent of {exp.bit_length()} bits "
-                                    f"exceeds exp_bit_cap {caps.exp_bit_cap}")
+            _check_record_caps(root, exp, caps, "hypergraph vertex")
         verts = tuple(PowerForm(root, exp) for root, exp in fields)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed hypergraph record: {exc}") from exc

@@ -364,6 +364,116 @@ def seed_search_oracle(members, m, multiplicative, budget):
     return "found", tuple(got), examined
 
 
+def _max_tower_value(prefix, multiplicative, value_bit_cap=4096):
+    """Largest value of the FE2 (or FE1) level of prefix at its top level, or
+    None when prefix is no strictly increasing seed sequence >= 2 or that
+    value has more than value_bit_cap bits."""
+    if any(x < 2 for x in prefix) or any(a >= b for a, b in zip(prefix, prefix[1:])):
+        return None
+    oracle = fe2_oracle if multiplicative else fe1_oracle
+    pairs, _ = oracle(list(prefix), len(prefix) - 1, value_bit_cap)
+    if any(_bits_of_pow(b, e) is None for b, e in pairs):
+        return None
+    top = max(b ** e for b, e in pairs)
+    return top if top.bit_length() <= value_bit_cap else None
+
+
+class _Undecidable(Exception):
+    pass
+
+
+def block_search_oracle(member, window, ys, f_spec, steps, multiplicative, budget,
+                        query_bit_limit=1 << 22):
+    """(status, explored, reason, x, blocks, level_max) of the first block
+    choice found by plain depth-first search, every candidate checked afresh.
+
+    Blocks are index tuples of size 1..4 in lexicographic order, each
+    starting after the previous block ends; x_j sums (or multiplies) ys over
+    block j.  Block j is kept when, for every F of chosen indices with
+    largest j, v the sum (product) over F and l = f(x before min F):
+    t**v in A for t = 2..l (v**t for t = 1..l), asked with F in mask order
+    and t ascending.  The first non-member rejects the block; a query met
+    before it whose exponent times its base's bit length passes
+    query_bit_limit, or whose value lies outside the window, makes the
+    block undecidable.  f is "constant:C" or
+    "max" (the largest tower value over the x before; 1 for none, undefined
+    frames counted as undecidable too).  Candidate budget + 1 stops the
+    search as inconclusive.
+    """
+    blocks_all = sorted(c for r in range(1, 5) for c in combinations(range(len(ys)), r))
+    explored = 0
+    undecidable = 0
+
+    def f_of(prefix):
+        if f_spec != "max":
+            return int(f_spec.split(":")[1])
+        if not prefix:
+            return 1
+        return _max_tower_value(prefix, multiplicative)
+
+    def ask(v, t):
+        base, exp = (v, t) if multiplicative else (t, v)
+        if exp * base.bit_length() > query_bit_limit:
+            raise _Undecidable
+        n = base ** exp
+        if window is not None and not window[0] <= n <= window[1]:
+            raise _Undecidable
+        return member(n)
+
+    def holds(xs, fs):
+        j = len(xs) - 1
+        for mask in range(1 << j):
+            family = [i for i in range(j) if mask >> i & 1] + [j]
+            v = 1 if multiplicative else 0
+            for i in family:
+                v = v * xs[i] if multiplicative else v + xs[i]
+            for t in range(1 if multiplicative else 2, fs[family[0]] + 1):
+                if not ask(v, t):
+                    return False
+        return True
+
+    def extend(blocks, xs, fs):
+        nonlocal explored, undecidable
+        if len(blocks) == steps:
+            return blocks, xs, fs
+        start = blocks[-1][-1] + 1 if blocks else 0
+        f = f_of(xs)
+        if f is None:
+            undecidable += 1
+            return None
+        for block in blocks_all:
+            if block[0] < start:
+                continue
+            explored += 1
+            if explored > budget:
+                raise _BudgetSpent
+            x = 1 if multiplicative else 0
+            for i in block:
+                x = x * ys[i] if multiplicative else x + ys[i]
+            try:
+                ok = holds(xs + [x], fs + [f])
+            except _Undecidable:
+                undecidable += 1
+                continue
+            if ok:
+                got = extend(blocks + [block], xs + [x], fs + [f])
+                if got is not None:
+                    return got
+        return None
+
+    try:
+        got = extend([], [], [])
+    except _BudgetSpent:
+        return "inconclusive", budget + 1, "budget exhausted", None, None, None
+    if got is None:
+        if undecidable:
+            return ("inconclusive", explored, f"oracle range on {undecidable} candidates",
+                    None, None, None)
+        return "failure", explored, "no valid block choice", None, None, None
+    blocks, xs, fs = got
+    return "success", explored, "", tuple(xs), tuple(blocks), tuple(fs)
+
+
 class RuleOracleError(Exception):
     """A rule oracle evaluation error; `kind` names which one."""
 

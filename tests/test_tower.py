@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from decimal import Decimal, localcontext
 from functools import cmp_to_key
 
@@ -371,6 +372,23 @@ def test_serialization_roundtrip():
     assert powerform_from_record(rec2) == sym
     assert vertex_label(pf) == "256"
     assert vertex_label(sym) == "2^5000"
+
+
+def test_powerform_record_bounded_by_caps(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("a form past the caps reached the perfect-power test")
+
+    monkeypatch.setattr(tower, "perfect_power", unreachable)
+    start = time.perf_counter()
+    with pytest.raises(CapacityError,
+                       match="^PowerForm root of 12001 bits exceeds value_bit_cap 4096$"):
+        powerform_from_record({"root": str((1 << 12000) + 1), "exp": "1"})
+    with pytest.raises(CapacityError,
+                       match="^PowerForm exponent of 65537 bits exceeds exp_bit_cap 65536$"):
+        powerform_from_record({"root": "2", "exp": 1 << 65536})
+    assert time.perf_counter() - start < 0.5
+    with pytest.raises(CapacityError, match="exp_bit_cap 4$"):
+        powerform_from_record({"root": "2", "exp": "16"}, Caps(exp_bit_cap=4))
 
 
 def test_ordering_dunders():
