@@ -286,6 +286,9 @@ def _search_blocks(
         )
     mode = _parse_f_spec(f_spec, multiplicative)
     candidates = _block_candidates(len(ys))
+    # values[i]: the sum (or product) of ys over candidates[i], computed the
+    # first time a frame reaches that block, so once per search
+    values: list[int | None] = [None] * len(candidates)
     explored = 0
     undecidable = 0
 
@@ -307,11 +310,13 @@ def _search_blocks(
         # Within this frame the verdict depends on x_j alone, and many blocks
         # share a value: ask once per value (None: undecidable).
         verdicts: dict[int, bool | None] = {}
-        for block in itertools.islice(candidates, bisect.bisect_left(candidates, (start,)), None):
+        for i in range(bisect.bisect_left(candidates, (start,)), len(candidates)):
             explored += 1
             if explored > caps.search_budget:
                 raise _SearchBudget()
-            x_j = _combine(ys, block, multiplicative)
+            block, x_j = candidates[i], values[i]
+            if x_j is None:
+                x_j = values[i] = _combine(ys, block, multiplicative)
             if x_j in verdicts:
                 ok = verdicts[x_j]
             else:

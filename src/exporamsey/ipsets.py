@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import filterfalse
-from typing import Callable, Iterable
+from itertools import chain, compress, filterfalse
+from typing import Callable, Iterable, Iterator
 
 from .config import Caps, DEFAULT_CAPS
 from .errors import DomainError, OracleRangeError
@@ -227,41 +227,88 @@ def find_fp_seed(a: WindowSet, m: int, caps: Caps = DEFAULT_CAPS) -> SeedSearchR
     return _seed_search(a, m, multiplicative=True, caps=caps)
 
 
+# Values coloured per `ColorRule.colors` call when a rule spec answers a
+# window: one chunk's lists, not the window, set the memory of the pass.
+# Chunks of 4096 colour no faster and hold a 32 KB list each.
+_RULE_CHUNK = 1024
+
+
+def _check_window(lo: int, hi: int) -> None:
+    if lo > hi:
+        raise DomainError(f"invalid window [{lo}, {hi}]")
+    if lo < 0:
+        raise DomainError("membership is defined on the naturals")
+
+
+def _then_out_of_window(members: Iterable[int], n: int) -> Iterator[int]:
+    """members, then OracleRangeError(n): a pass cut short by the window's end."""
+    yield from members
+    raise OracleRangeError(n)
+
+
 @dataclass(frozen=True, eq=False)
 class SetSpec:
     """Membership oracle for a (possibly infinite) set of naturals.
 
     Built by explicit (closed-world finite list), residues (n % modulus ==
     residue), from_rule (DSL expression, member iff value mod 2 == 1) or
-    complement_of, each of which compiles its membership test once.  A
-    window, when present, bounds where membership may be queried; queries
-    outside it raise OracleRangeError.
+    complement_of.  A window, when present, bounds where membership may be
+    queried; queries outside it raise OracleRangeError.
+
+    `test` answers one n, for `contains`.  `scan(lo, top)` is the batch
+    pass that `materialize` and the IP* probe take: it yields the members
+    in [lo, top], a range inside the window, in ascending order, and raises
+    the error of the first failing n where it reaches that n.  Each kind
+    has its own pass: a stepped range, the explicit members in order,
+    the compiled `ColorRule.colors` over chunks, or the gaps between the
+    inner spec's members.  A SetSpec(window, test) built directly has no
+    pass and scans the window with its test.  A rule spec compiles the
+    function that `test` calls, or the one `scan` calls, on its first use.
     """
 
     window: tuple[int, int] | None
     test: Callable[[int], bool]
+    scan: Callable[[int, int], Iterable[int]] | None = None
 
     @staticmethod
     def explicit(members: Iterable[int], window: tuple[int, int] | None = None) -> "SetSpec":
-        return SetSpec(window, frozenset(members).__contains__)
+        members = frozenset(members)
+        return SetSpec(window, members.__contains__,
+                       lambda lo, top: sorted(m for m in members if lo <= m <= top))
 
     @staticmethod
     def residues(modulus: int, residue: int, window: tuple[int, int] | None = None) -> "SetSpec":
         if modulus < 1 or residue < 0 or residue >= modulus:
             raise DomainError(f"invalid residue class {residue} mod {modulus}")
-        return SetSpec(window, lambda n: n % modulus == residue)
+        return SetSpec(window, lambda n: n % modulus == residue,
+                       lambda lo, top: range(lo + (residue - lo) % modulus, top + 1, modulus))
 
     @staticmethod
     def from_rule(source: str, window: tuple[int, int] | None = None) -> "SetSpec":
-        evaluate = parse_rule(source, 2).evaluate
-        return SetSpec(window, lambda n: evaluate(n) % 2 == 1)
+        rule = parse_rule(source, 2)
+
+        def evaluate(n: int) -> int:
+            # compiles the rule's evaluate on the first query and takes its
+            # place, so later queries call it directly
+            nonlocal evaluate
+            evaluate = rule.evaluate
+            return evaluate(n)
+
+        def scan(lo: int, top: int) -> Iterator[int]:
+            colors = rule.colors
+            chunks = (range(s, min(s + _RULE_CHUNK, top + 1))
+                      for s in range(lo, top + 1, _RULE_CHUNK))
+            return chain.from_iterable(compress(ns, colors(ns)) for ns in chunks)
+
+        return SetSpec(window, lambda n: evaluate(n) % 2 == 1, scan)
 
     @staticmethod
     def complement_of(inner: "SetSpec", window: tuple[int, int] | None = None) -> "SetSpec":
         # an inner window still bounds the queries, so only a windowless
         # inner spec is asked through its bare test
         test = inner.test if inner.window is None else inner.contains
-        return SetSpec(window, lambda n: not test(n))
+        return SetSpec(window, lambda n: not test(n),
+                       lambda lo, top: chain.from_iterable(inner._gaps(lo, top)))
 
     def contains(self, n: int) -> bool:
         if n < 0:
@@ -270,22 +317,33 @@ class SetSpec:
             raise OracleRangeError(n)
         return self.test(n)
 
-    def materialize(self, lo: int, hi: int) -> WindowSet:
-        """The members in [lo, hi], with the errors of asking contains(n) for
-        n = lo, ..., hi in turn; the window is checked once, not per n."""
-        if lo > hi:
-            raise DomainError(f"invalid window [{lo}, {hi}]")
-        if lo < 0:
-            raise DomainError("membership is defined on the naturals")
+    def _ascending(self, lo: int, hi: int) -> Iterable[int]:
+        """The members in [lo, hi], 0 <= lo <= hi, in ascending order, with the
+        errors of asking contains(n) for n = lo, ..., hi in turn; the window is
+        checked once, not per n."""
         top = hi
         if self.window is not None:
             if not self.window[0] <= lo <= self.window[1]:
                 raise OracleRangeError(lo)
             top = min(hi, self.window[1])
-        members = frozenset(filter(self.test, range(lo, top + 1)))
-        if top < hi:
-            raise OracleRangeError(top + 1)
-        return _window_unchecked(lo, hi, members)
+        members = (self.scan(lo, top) if self.scan is not None
+                   else filter(self.test, range(lo, top + 1)))
+        return members if top == hi else _then_out_of_window(members, top + 1)
+
+    def _gaps(self, lo: int, hi: int) -> Iterator[range]:
+        """The runs of non-members between the members in [lo, hi], ascending,
+        from the same pass and with the same errors."""
+        n = lo
+        for m in self._ascending(lo, hi):
+            yield range(n, m)
+            n = m + 1
+        yield range(n, hi + 1)
+
+    def materialize(self, lo: int, hi: int) -> WindowSet:
+        """The members in [lo, hi], with the errors of asking contains(n) for
+        n = lo, ..., hi in turn."""
+        _check_window(lo, hi)
+        return _window_unchecked(lo, hi, frozenset(self._ascending(lo, hi)))
 
 
 def parse_set_spec(text: str) -> SetSpec:
@@ -344,13 +402,14 @@ def is_ip_star_window(
 
     fails(X) means the complement contains fs(X) (resp. fp(X)) entirely
     inside the window, holds means the exhaustive windowed search found
-    none, inconclusive means the budget ran out first.
+    none, inconclusive means the budget ran out first.  The complement is
+    the gaps of the spec's own pass, with the errors of materialize.
     """
     if kind not in ("additive", "multiplicative"):
         raise DomainError(f"kind must be additive or multiplicative, got {kind!r}")
     lo, hi = window
-    inside = spec.materialize(lo, hi).members
-    complement = _window_unchecked(lo, hi, frozenset(range(lo, hi + 1)).difference(inside))
+    _check_window(lo, hi)
+    complement = _window_unchecked(lo, hi, frozenset(chain.from_iterable(spec._gaps(lo, hi))))
     search = find_fp_seed if kind == "multiplicative" else find_fs_seed
     result = search(complement, m, caps)
     if result.status == "found":

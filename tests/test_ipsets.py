@@ -10,10 +10,12 @@ import pytest
 from exporamsey import (
     Caps,
     DomainError,
+    IpStarVerdict,
     OracleRangeError,
     RuleEvaluationError,
     RuleSyntaxError,
     SetSpec,
+    WorkbenchError,
     find_fp_seed,
     find_fs_seed,
     find_geometric_progressions,
@@ -23,6 +25,7 @@ from exporamsey import (
     transform,
     window_set,
 )
+from exporamsey import rules
 from exporamsey.ipsets import windowset_record
 from exporamsey.tower import ikth_root
 
@@ -430,6 +433,73 @@ def test_materialize_matches_contains():
         assert a.members == {n for n in range(lo, hi + 1) if spec.contains(n)}
 
 
+def _random_spec(rng: random.Random, levels: int) -> tuple[SetSpec, str]:
+    """A seeded spec tree of at most `levels` levels, and its text for messages.
+
+    Leaves are residue classes, explicit sets, rules (some failing at a
+    chosen K) and specs built from a bare test; about 40% of nodes have a
+    window, some of them empty.
+    """
+    window = None
+    if rng.random() < 0.4:
+        a = rng.randrange(0, 70)
+        window = (a, a + rng.randrange(-3, 50))
+    kind = rng.choice(["residue", "explicit", "rule", "test"]
+                      + ["complement"] * 2 * (levels > 1))
+    if kind == "residue":
+        m = rng.randrange(1, 7)
+        r = rng.randrange(m)
+        spec, text = SetSpec.residues(m, r, window), f"residue:{m}:{r}"
+    elif kind == "explicit":
+        members = sorted({rng.randrange(0, 90) for _ in range(rng.randrange(0, 30))})
+        spec, text = SetSpec.explicit(members, window), f"explicit:{members}"
+    elif kind == "rule":
+        k = rng.randrange(0, 90)
+        source = rng.choice(["n % 3", "(n / 2) % 2", "ilog2(n + 1) % 2", "n * n % 5 == 1",
+                             f"n / (n - {k})", f"ilog2(n - {k})", f"1 / (n < {k})",
+                             f"ipow(3, n - {k}) % 4"])
+        spec, text = SetSpec.from_rule(source, window), f"rule:{source}"
+    elif kind == "test":
+        m = rng.randrange(2, 6)
+        spec, text = SetSpec(window, lambda n: n % m == 1), f"test:n % {m} == 1"
+    else:
+        inner, inner_text = _random_spec(rng, levels - 1)
+        spec, text = SetSpec.complement_of(inner, window), f"complement:{inner_text}"
+    return spec, text + (f"@{window[0]}..{window[1]}" if window else "")
+
+
+def _outcome(ask):
+    """ask()'s value, or the type and message of the workbench error it raised."""
+    try:
+        return ask()
+    except WorkbenchError as exc:
+        return type(exc), str(exc)
+
+
+def test_materialize_and_ip_star_match_a_sequential_scan():
+    """Every kind's pass gives the members, or the error, of asking contains(n)
+    for n = lo, ..., hi in turn; the IP* probe's complement comes from the same pass."""
+    rng = random.Random(2718)
+    seen = set()
+    for _ in range(500):
+        spec, text = _random_spec(rng, 3)
+        for _ in range(3):
+            lo = rng.randrange(0, 80)
+            hi = lo + rng.randrange(0, 60)
+            want = _outcome(lambda: frozenset(n for n in range(lo, hi + 1) if spec.contains(n)))
+            got = _outcome(lambda: spec.materialize(lo, hi).members)
+            assert got == want, (text, lo, hi)
+            got = _outcome(lambda: is_ip_star_window(spec, "additive", 1, (lo, hi)))
+            if isinstance(want, frozenset):
+                rest = sorted(frozenset(range(lo, hi + 1)) - want)
+                want = IpStarVerdict("fails", (rest[0],)) if rest else IpStarVerdict("holds")
+                seen.add("members")
+            else:
+                seen.add(want[0])
+            assert got == want, (text, lo, hi)
+    assert seen == {"members", OracleRangeError, RuleEvaluationError}
+
+
 def test_parse_set_spec():
     assert parse_set_spec("all").contains(7)
     assert parse_set_spec("residue:2:0").contains(4)
@@ -453,6 +523,39 @@ def test_parse_set_spec():
         with pytest.raises(RuleSyntaxError) as err:
             parse_set_spec("rule:n + " + "1" * (digits + 1))
         assert err.value.position == 4
+
+
+def test_rule_spec_compiles_only_what_is_asked(monkeypatch):
+    compiled = []
+    function = rules._function
+    monkeypatch.setattr(rules, "_function",
+                        lambda param, body: compiled.append(param) or function(param, body))
+    scanned, asked = SetSpec.from_rule("n % 3"), SetSpec.from_rule("n % 3")
+    complement = SetSpec.complement_of(SetSpec.from_rule("n % 3"))
+    assert compiled == []  # building a spec compiles nothing
+    scanned.materialize(2, 5000)
+    is_ip_star_window(scanned, "additive", 2, (1, 100))
+    assert compiled == ["ns"]  # a materialised spec compiles its batch pass alone, once
+    complement.materialize(2, 100)
+    assert compiled == ["ns", "ns"]
+    assert asked.contains(4) and not asked.contains(5)
+    assert compiled == ["ns", "ns", "n"]  # a queried one compiles its test alone
+
+
+@pytest.mark.parametrize("text", ["complement:residue:5:0", "rule:(n / 2) % 2",
+                                  "residue:2:1", "complement:rule:n % 3"])
+def test_materialize_holds_no_window_sized_intermediate(text):
+    """The traced peak of materialising a 40,000-wide window stays within 1.25x
+    of the memory the result keeps: no pass builds the window or its colours."""
+    spec = parse_set_spec(text)
+    tracemalloc.start()
+    try:
+        a = spec.materialize(2, 40000)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(a.members) >= 13000
+    assert peak <= 1.25 * kept, (peak, kept)
 
 
 def test_complement_asks_its_inner_window():
