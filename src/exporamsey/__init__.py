@@ -37,14 +37,13 @@ from .triples import (
     triples_within,
 )
 from .coloring import (
-    ColorRule,
     Coloring,
     check_coloring,
     count_mono_triples,
     export_dimacs,
-    parse_rule,
     solve_colorability,
 )
+from .rules import ColorRule, parse_rule
 from .ipsets import (
     IpStarVerdict,
     SeedSearchResult,

@@ -36,6 +36,7 @@ from .errors import (
     OracleRangeError,
     WorkbenchError,
 )
+from .rules import parse_rule
 from .tower import int_text
 
 EXIT_OK = 0
@@ -254,7 +255,7 @@ def _run_color(args, caps: Caps, out) -> int:
         _dump({"monochromatic_edges": mono, "count": len(mono)}, out)
         return EXIT_OK
     assert args.action == "rule-count"
-    rule = col_mod.parse_rule(args.rule, args.k)
+    rule = parse_rule(args.rule, args.k)
     results = col_mod.count_mono_triples_at(rule, args.max, caps)
     if args.format == "csv":
         out.write("N,cell,count\n")

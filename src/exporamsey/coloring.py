@@ -22,27 +22,9 @@ from typing import Iterable, Iterator, Sequence, TextIO
 
 from .config import Caps, DEFAULT_CAPS
 from .errors import CapacityError, DomainError, RuleEvaluationError, message_int
-from .rules import ColorRule, parse_rule  # re-exported as part of this surface
+from .rules import ColorRule
 from .triples import TripleHypergraph, check_triple_bound, iter_int_triples
 from .tower import _record_int, ikth_root, vertex_label
-
-__all__ = [
-    "Coloring",
-    "ColorRule",
-    "parse_rule",
-    "check_coloring",
-    "solve_colorability",
-    "solve_constraints",
-    "export_dimacs",
-    "decode_true_vars",
-    "count_mono_triples",
-    "count_mono_triples_at",
-    "MonoCounts",
-    "coloring_record",
-    "coloring_from_record",
-    "counts_record",
-    "counts_csv_rows",
-]
 
 # Most clauses export_dimacs writes; each is a line of text, so this bounds its output.
 _CNF_CLAUSE_LIMIT = 1 << 22

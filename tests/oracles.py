@@ -544,3 +544,44 @@ def rule_oracle(tree, n):
             raise RuleOracleError("ipow size")
         return x ** y
     return _RULE_ORACLE_OPS[op](x, y)
+
+
+class _OutsideWindow(Exception):
+    pass
+
+
+def _set_member(tree, n):
+    op, args = tree[0], tree[1:]
+    if op == "window":
+        lo, hi, inner = args
+        if not lo <= n <= hi:
+            raise _OutsideWindow
+        return _set_member(inner, n)
+    if op == "residue":
+        modulus, residue = args
+        return n % modulus == residue
+    if op == "explicit":
+        return n in args[0]
+    if op == "rule":
+        return rule_oracle(args[0], n) % 2 == 1
+    if op == "complement":
+        return not _set_member(args[0], n)
+    raise ValueError(f"unknown set node {op!r}")
+
+
+def set_spec_oracle(tree, n):
+    """Membership at n of a set-spec tree, or (kind, n) when asking fails.
+
+    Trees are ("residue", modulus, residue), ("explicit", members),
+    ("rule", rule_tree) for a rule tree of `rule_oracle`, member iff its
+    value mod 2 is 1, ("complement", tree) and ("window", lo, hi, tree),
+    which leaves n outside [lo, hi] undecidable.  A window is checked
+    before the tree inside it.  The kinds are "range", for n outside a
+    window, and "rule", for a rule evaluation error.
+    """
+    try:
+        return _set_member(tree, n)
+    except _OutsideWindow:
+        return "range", n
+    except RuleOracleError:
+        return "rule", n

@@ -409,6 +409,17 @@ def test_deep_rule_is_a_domain_error(capsys):
     assert (code, out, capsys.readouterr().err) == (1, "", message)
 
 
+@pytest.mark.parametrize("spec, exit_code, message", [
+    ("complement:residue:2:0@1..1500", 2, "membership undecidable for 1501"),
+    ("complement:rule:1 / (n < 2049)", 1, "rule evaluation failed at n=2049: division by zero"),
+])
+def test_spec_errors_past_a_chunk_edge_exit_codes(capsys, spec, exit_code, message):
+    for command in (("ip", "ip-star", "--kind", "additive", "--m", "1"),
+                    ("ip", "powerprog", "--length", "3")):
+        code, out = run_cli(*command, "--lo", "2", "--hi", "3000", "--spec", spec)
+        assert (code, out, capsys.readouterr().err) == (exit_code, "", f"error: {message}\n")
+
+
 def test_parser_state_does_not_leak_between_calls():
     base = ("closure", "--seeds", "2", "--depth", "2")
     code, first = run_cli(*base)

@@ -35,6 +35,7 @@ from oracles import (
     geometric_progressions_oracle,
     power_progressions_oracle,
     seed_search_oracle,
+    set_spec_oracle,
 )
 from itertools import combinations
 
@@ -500,6 +501,103 @@ def test_materialize_and_ip_star_match_a_sequential_scan():
     assert seen == {"members", OracleRangeError, RuleEvaluationError}
 
 
+# Where passes that start at 0 or 1 cross from one chunk to the next.
+_CHUNK_EDGES = (1023, 1024, 1025, 2047, 2048)
+
+
+def _near_chunk_edge(rng: random.Random) -> int:
+    return rng.choice(_CHUNK_EDGES) + rng.randrange(-1, 2)
+
+
+def _random_chunked_spec(rng: random.Random, levels: int) -> tuple[tuple, SetSpec]:
+    """A seeded spec tree for `set_spec_oracle` of at most `levels` levels, and
+    its SetSpec; windows and rule failures fall on or next to a chunk edge."""
+    n, k = ("n",), _near_chunk_edge(rng)
+    kind = rng.choice(["residue", "explicit", "rule"] + ["complement"] * 2 * (levels > 1))
+    if kind == "residue":
+        m = rng.randrange(1, 7)
+        r = rng.randrange(m)
+        tree, make = ("residue", m, r), lambda w: SetSpec.residues(m, r, w)
+    elif kind == "explicit":
+        members = frozenset(rng.sample(range(3001), rng.randrange(0, 600)))
+        members |= {e for e in _CHUNK_EDGES if rng.random() < 0.5}
+        tree, make = ("explicit", members), lambda w: SetSpec.explicit(members, w)
+    elif kind == "rule":
+        source, rule_tree = rng.choice([
+            ("n % 3", ("%", n, ("const", 3))),
+            ("(n / 2) % 2", ("%", ("/", n, ("const", 2)), ("const", 2))),
+            ("ilog2(n + 1) % 2", ("%", ("ilog2", ("+", n, ("const", 1))), ("const", 2))),
+            (f"n / (n - {k})", ("/", n, ("-", n, ("const", k)))),
+            (f"1 / (n < {k})", ("/", ("const", 1), ("<", n, ("const", k)))),
+            (f"ilog2({k} - n)", ("ilog2", ("-", ("const", k), n))),
+        ])
+        tree, make = ("rule", rule_tree), lambda w: SetSpec.from_rule(source, w)
+    else:
+        inner_tree, inner = _random_chunked_spec(rng, levels - 1)
+        tree, make = ("complement", inner_tree), lambda w: SetSpec.complement_of(inner, w)
+    if rng.random() < 0.4:
+        lo = rng.choice([0, 1, 2, _near_chunk_edge(rng)])
+        hi = rng.choice([_near_chunk_edge(rng), 3000])
+        return ("window", lo, hi, tree), make((lo, hi))
+    return tree, make(None)
+
+
+def _chunked_outcome(ask):
+    """ask()'s value, or the kind of workbench error it raised and its n."""
+    try:
+        return ask()
+    except OracleRangeError as exc:
+        return "range", exc.value
+    except RuleEvaluationError as exc:
+        return "rule", exc.n
+
+
+def test_materialize_and_ip_star_match_the_oracle_across_chunks():
+    """Query windows over several chunks give the oracle's members, or the error
+    of its first failing n, also where a window or a rule fails at a chunk edge."""
+    rng = random.Random(1024)
+    seen = set()
+    for _ in range(150):
+        tree, spec = _random_chunked_spec(rng, 3)
+        for _ in range(2):
+            lo = rng.choice([0, 1, 2, rng.randrange(0, 200)])
+            hi = rng.randrange(2040, 3001)
+            want = frozenset()
+            for v in range(lo, hi + 1):
+                got = set_spec_oracle(tree, v)
+                if isinstance(got, tuple):
+                    want = got
+                    break
+                if got:
+                    want |= {v}
+            assert _chunked_outcome(lambda: spec.materialize(lo, hi).members) == want, (tree, lo, hi)
+            got = _chunked_outcome(lambda: is_ip_star_window(spec, "additive", 1, (lo, hi)))
+            if isinstance(want, frozenset):
+                rest = sorted(frozenset(range(lo, hi + 1)) - want)
+                want = IpStarVerdict("fails", (rest[0],)) if rest else IpStarVerdict("holds")
+                seen.add("members")
+            else:
+                # the query's passes chunk [lo, hi] from lo
+                edge = want[1] > lo and (want[1] - lo) % 1024 in (0, 1023)
+                seen.add(want[0] + " at a chunk edge" * edge)
+            assert got == want, (tree, lo, hi)
+    assert seen == {"members", "range", "rule", "range at a chunk edge", "rule at a chunk edge"}
+
+
+@pytest.mark.parametrize("text, kind, message", [
+    ("complement:residue:2:0@1..1500", OracleRangeError, "membership undecidable for 1501"),
+    ("complement:rule:1 / (n < 2049)", RuleEvaluationError,
+     "rule evaluation failed at n=2049: division by zero"),
+])
+def test_errors_across_chunk_edges_pinned(text, kind, message):
+    spec = parse_set_spec(text)
+    for ask in (lambda: spec.materialize(2, 3000),
+                lambda: is_ip_star_window(spec, "additive", 1, (2, 3000))):
+        with pytest.raises(kind) as err:
+            ask()
+        assert type(err.value) is kind and str(err.value) == message
+
+
 def test_parse_set_spec():
     assert parse_set_spec("all").contains(7)
     assert parse_set_spec("residue:2:0").contains(4)
@@ -542,8 +640,12 @@ def test_rule_spec_compiles_only_what_is_asked(monkeypatch):
     assert compiled == ["ns", "ns", "n"]  # a queried one compiles its test alone
 
 
-@pytest.mark.parametrize("text", ["complement:residue:5:0", "rule:(n / 2) % 2",
-                                  "residue:2:1", "complement:rule:n % 3"])
+@pytest.mark.parametrize("text", [
+    "complement:residue:5:0", "rule:(n / 2) % 2", "residue:2:1", "complement:rule:n % 3",
+    pytest.param("complement:explicit:" + ",".join(map(str, range(2, 40001, 2))),
+                 id="complement:explicit:evens"),
+    "complement:complement:rule:n % 3",
+])
 def test_materialize_holds_no_window_sized_intermediate(text):
     """The traced peak of materialising a 40,000-wide window stays within 1.25x
     of the memory the result keeps: no pass builds the window or its colours."""
