@@ -30,6 +30,8 @@ from .tower import _record_int, ikth_root, vertex_label
 _CNF_CLAUSE_LIMIT = 1 << 22
 # Most lines in one block of export_dimacs text, so writing it holds one block at a time.
 _CNF_BLOCK_LINES = 1 << 16
+# Most per-cell counts count_mono_triples_at returns, k at each bound given.
+_COUNT_CELL_LIMIT = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -311,7 +313,8 @@ def count_mono_triples_at(
 ) -> list[MonoCounts]:
     """`count_mono_triples` at each bound, in the order given, from colour tables.
 
-    Every bound is checked first; bounds may repeat and come in any order.
+    Every bound, then the _COUNT_CELL_LIMIT on k cells per bound given, is
+    checked first; bounds may repeat and come in any order.
     `ColorRule.colors` fills a table of colour(a) for the bases a up to
     max(isqrt, log2) of the largest bound, in fixed-size chunks, so memory
     stays flat up to the base cap.  For each chunk and exponent b, the c =
@@ -329,6 +332,10 @@ def count_mono_triples_at(
     """
     for n in bounds:
         check_triple_bound(n, caps)
+    n_cells = rule.k * len(bounds)
+    if n_cells > _COUNT_CELL_LIMIT:
+        raise CapacityError(f"a {message_int(rule.k)}-cell count at {len(bounds)} bounds has "
+                            f"{message_int(n_cells)} cells, over the limit of {_COUNT_CELL_LIMIT}")
     stops = sorted(set(bounds))
     try:
         snapshots = _count_by_tables(rule, stops)

@@ -61,22 +61,6 @@ def _ilog_floor(x: int, base: int) -> int:
     return m
 
 
-def _ilog_ceil(x: int, base: int) -> int:
-    """Smallest m >= 0 with base**m >= x."""
-    if x <= 1:
-        return 0
-    f = _ilog_floor(x, base)
-    return f if base ** f == x else f + 1
-
-
-def _iroot_ceil(x: int, n: int) -> int:
-    """Smallest m >= 0 with m**n >= x."""
-    if x <= 0:
-        return 0
-    r = ikth_root(x, n)
-    return r if r ** n == x else r + 1
-
-
 def transform(a: WindowSet, op: str, n: int) -> WindowSet:
     """Preimage of a under shift/divide/log/root, in its shrunken window.
 
@@ -85,34 +69,41 @@ def transform(a: WindowSet, op: str, n: int) -> WindowSet:
     log(n):    {m : n**m in A}    on [ceil(log_n lo), floor(log_n hi)]
     root(n):   {m : m**n in A}    on [ceil(lo**(1/n)), floor(hi**(1/n))]
 
-    A window that collapses below its lower end comes back empty.
+    Each op pairs its image m -> x with a floor inverse x -> m; a ceiling is
+    the floor at lo - 1, plus one.  As in `_members_between`, the members come
+    from the smaller side: the window, by image, or A, by each floor inverse
+    in the window that maps back exactly.  A collapsed window comes back as
+    [0, 0].
     """
     if op == "shift":
         if n < 0:
             raise DomainError("shift requires n >= 0")
         lo, hi = max(a.lo - n, 0), a.hi - n
-        member = lambda m: m + n in a.members
+        image, floor = (lambda m: m + n), (lambda x: x - n)
     elif op == "divide":
         if n < 1:
             raise DomainError("divide requires n >= 1")
         lo, hi = -(-a.lo // n), a.hi // n
-        member = lambda m: m * n in a.members
+        image, floor = (lambda m: m * n), (lambda x: x // n)
     elif op == "log":
         if n < 2:
             raise DomainError("log requires n >= 2")
-        lo, hi = _ilog_ceil(a.lo, n), _ilog_floor(a.hi, n)
-        member = lambda m: n ** m in a.members
+        image, floor = (lambda m: n ** m), (lambda x: _ilog_floor(x, n))
+        lo, hi = floor(a.lo - 1) + 1, floor(a.hi)
     elif op == "root":
         if n < 1:
             raise DomainError("root requires n >= 1")
-        lo, hi = _iroot_ceil(a.lo, n), ikth_root(a.hi, n)
-        member = lambda m: m ** n in a.members
+        image, floor = (lambda m: m ** n), (lambda x: ikth_root(x, n))
+        lo, hi = floor(a.lo - 1) + 1 if a.lo else 0, floor(a.hi)
     else:
         raise DomainError(f"unknown transform {op!r}")
-    lo = max(lo, 0)
     if hi < lo:
         return WindowSet(lo=0, hi=0, members=frozenset())
-    return _window_unchecked(lo, hi, frozenset(m for m in range(lo, hi + 1) if member(m)))
+    if hi - lo < len(a.members):
+        members = (m for m in range(lo, hi + 1) if image(m) in a.members)
+    else:
+        members = (m for x in a.members if lo <= (m := floor(x)) <= hi and image(m) == x)
+    return _window_unchecked(lo, hi, frozenset(members))
 
 
 @dataclass(frozen=True)

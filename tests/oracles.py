@@ -322,6 +322,46 @@ def power_progressions_oracle(members, length):
     return out
 
 
+def _power_past(base, exp, cap):
+    """base**exp when it is at most cap; otherwise some value past cap, built by
+    multiplying up only until the product passes it."""
+    if base < 2:
+        return 1 if exp == 0 else base
+    v = 1
+    for _ in range(exp):
+        v *= base
+        if v > cap:
+            break
+    return v
+
+
+def transform_oracle(lo, hi, members, op, n):
+    """(lo, hi, members) of the preimage of members in [lo, hi] under shift,
+    divide, log or root by n, or None for an (op, n) with no preimage map.
+
+    Steps m up from 0 while its image is at most hi; the window is the m whose
+    image is at least lo, and an empty one is (0, 0, set()).
+    """
+    if op == "shift" and n >= 0:
+        image = lambda m: m + n
+    elif op == "divide" and n >= 1:
+        image = lambda m: m * n
+    elif op == "log" and n >= 2:
+        image = lambda m: _power_past(n, m, hi)
+    elif op == "root" and n >= 1:
+        image = lambda m: _power_past(m, n, hi)
+    else:
+        return None
+    window, m = [], 0
+    while image(m) <= hi:
+        if image(m) >= lo:
+            window.append(m)
+        m += 1
+    if not window:
+        return 0, 0, set()
+    return window[0], window[-1], {m for m in window if image(m) in members}
+
+
 class _BudgetSpent(Exception):
     pass
 

@@ -186,6 +186,12 @@ def test_triple_bound_over_limit_refused():
     assert run_cli("triples", "enum", "--max", "-1") == (1, "")
 
 
+def test_rule_count_over_cell_limit_refused():
+    for fmt in ("json", "csv"):
+        assert run_cli("--format", fmt, "color", "rule-count", "--rule", "n",
+                       "--k", "1000000000000", "--max", "100") == (2, "")
+
+
 def test_hypergraph_file_input(tmp_path):
     code, rec = run_json("closure", "--seeds", "2,3", "--depth", "1")
     f = tmp_path / "h.json"

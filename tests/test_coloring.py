@@ -524,6 +524,28 @@ def test_count_mono_checks_bounds_before_colouring():
             count_mono_triples_at(rule, [3, 4])
 
 
+def test_count_mono_cell_limit(monkeypatch):
+    # k cells at each bound given, repeats included: 3 * 2 = 6 cells for n % 3 at [16, 16]
+    rule = parse_rule("n % 3", 3)
+    monkeypatch.setattr(coloring, "_COUNT_CELL_LIMIT", 6)
+    counts = count_mono_triples_at(rule, [16, 16])
+    assert counts == [count_mono_triples(rule, 16)] * 2
+    monkeypatch.setattr(coloring, "_COUNT_CELL_LIMIT", 5)
+    with pytest.raises(CapacityError, match="^a 3-cell count at 2 bounds has 6 cells, "
+                                            "over the limit of 5$"):
+        count_mono_triples_at(rule, [16, 16])
+    monkeypatch.undo()
+    # the size comes first: a trillion colours is refused before any cell is allocated
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="cells, over the limit of 1048576$"):
+            count_mono_triples_at(parse_rule("n", 10 ** 12), [100])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_count_mono_colours_two_once_per_pass(monkeypatch):
     from exporamsey import rules
 

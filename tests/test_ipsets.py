@@ -3,7 +3,9 @@
 import inspect
 import random
 import sys
+import time
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -15,6 +17,7 @@ from exporamsey import (
     RuleEvaluationError,
     RuleSyntaxError,
     SetSpec,
+    WindowSet,
     WorkbenchError,
     find_fp_seed,
     find_fs_seed,
@@ -36,6 +39,7 @@ from oracles import (
     power_progressions_oracle,
     seed_search_oracle,
     set_spec_oracle,
+    transform_oracle,
 )
 from itertools import combinations
 
@@ -118,6 +122,72 @@ def test_transform_inverse_and_identity():
         }
         assert transform(a, "root", 1).members == a.members
         assert transform(a, "divide", 1).members == a.members
+
+
+class _ReadLog(frozenset):
+    """A member set that logs how it is read: by `in` tests or by iteration."""
+
+    reads: set = set()
+
+    def __contains__(self, x):
+        _ReadLog.reads.add("range")
+        return frozenset.__contains__(self, x)
+
+    def __iter__(self):
+        _ReadLog.reads.add("members")
+        return frozenset.__iter__(self)
+
+
+# values on and next to small powers, where the log and root window ends turn
+_NEAR_POWERS = sorted({max(b ** e + d, 0) for b in range(2, 11) for e in range(12)
+                       if b ** e < 4000 for d in (-1, 0, 1)})
+
+
+def _transform_case(rng):
+    """A seeded (lo, hi, members, op, n): windows up to about 8,000 wide, starting
+    on or next to a power or anywhere below 3,000, with sparse or full members."""
+    op = rng.choice(("shift", "divide", "log", "root"))
+    n = rng.choice((0, 1, 2, 3, 5, 7, 10, 64, 10 ** 9))
+    lo = rng.choice(_NEAR_POWERS) if rng.random() < 0.5 else rng.randrange(3000)
+    hi = lo + rng.randrange(rng.choice((1, 10, 100, 1000, 8000)))
+    if rng.random() < 0.3:
+        members = {x for x in range(lo, hi + 1) if rng.random() < 0.7}
+    else:
+        inside = [x for x in _NEAR_POWERS if lo <= x <= hi] + [lo, hi]
+        members = set(rng.sample(inside, min(len(inside), rng.randrange(6))))
+        members.update(rng.randint(lo, hi) for _ in range(rng.randrange(4)))
+    return lo, hi, members, op, n
+
+
+def test_transform_matches_oracle_from_both_sides():
+    rng = random.Random(29)
+    sides = Counter()
+    for _ in range(2400):
+        lo, hi, members, op, n = _transform_case(rng)
+        want = transform_oracle(lo, hi, members, op, n)
+        a = WindowSet(lo, hi, _ReadLog(members))
+        _ReadLog.reads.clear()
+        if want is None:
+            with pytest.raises(DomainError):
+                transform(a, op, n)
+            sides["invalid"] += 1
+            continue
+        out = transform(a, op, n)
+        assert (out.lo, out.hi, out.members) == want, (lo, hi, sorted(members), op, n)
+        sides["/".join(sorted(_ReadLog.reads))] += 1
+    # each window is answered from one side: the range when it is smaller than the
+    # member set, the members otherwise; a collapsed window reads neither
+    assert set(sides) == {"invalid", "", "range", "members"}
+    assert min(sides["invalid"], sides["range"], sides["members"]) >= 200, sides
+
+
+def test_transform_wide_window_reads_its_members():
+    # two members read in microseconds; testing each m of [0, 10**8] takes seconds
+    a = window_set(0, 10 ** 8, {5, 10 ** 8})
+    for op, n, want in (("shift", 0, {5, 10 ** 8}), ("divide", 5, {1, 2 * 10 ** 7})):
+        start = time.perf_counter()
+        assert transform(a, op, n).members == want
+        assert time.perf_counter() - start < 0.5
 
 
 def test_find_fs_seed_examples():
