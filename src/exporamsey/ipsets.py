@@ -10,11 +10,11 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import chain, compress, filterfalse
+from itertools import chain, compress, filterfalse, islice
 from typing import Callable, Iterable, Iterator
 
 from .config import Caps, DEFAULT_CAPS
-from .errors import DomainError, OracleRangeError
+from .errors import CapacityError, DomainError, OracleRangeError
 from .rules import parse_rule
 from .tower import ikth_root, int_text
 
@@ -222,6 +222,8 @@ def find_fp_seed(a: WindowSet, m: int, caps: Caps = DEFAULT_CAPS) -> SeedSearchR
 # window, set the memory of the pass.  Chunks of 4096 colour no faster and
 # hold a 32 KB list each.
 _CHUNK = 1024
+# Members a materialized window may hold, at about 66 bytes each in its frozenset.
+_MEMBER_LIMIT = 1 << 20
 
 
 def _chunks(lo: int, top: int) -> Iterator[range]:
@@ -314,12 +316,17 @@ class SetSpec:
 
     def materialize(self, lo: int, hi: int) -> WindowSet:
         """The members in [lo, hi], with the errors of asking contains(n) for
-        n = lo, ..., hi in turn."""
+        n = lo, ..., hi in turn; past _MEMBER_LIMIT members, a CapacityError.
+        A rule pass colours a chunk at a time, so a rule error in the chunk
+        that passes the limit comes first."""
         if lo > hi:
             raise DomainError(f"invalid window [{lo}, {hi}]")
         if lo < 0:
             raise DomainError("membership is defined on the naturals")
-        return _window_unchecked(lo, hi, frozenset(self._ascending(lo, hi)))
+        members = frozenset(islice(self._ascending(lo, hi), _MEMBER_LIMIT + 1))
+        if len(members) > _MEMBER_LIMIT:
+            raise CapacityError(f"window [{lo}, {hi}] holds more than {_MEMBER_LIMIT} members")
+        return _window_unchecked(lo, hi, members)
 
 
 def parse_set_spec(text: str) -> SetSpec:

@@ -34,14 +34,19 @@ raised where it happens, naming the n being evaluated.
 Parentheses, function arguments and unary operators may nest, and the
 rule's tree may grow (also through chains of binary operators), at most
 _MAX_RULE_DEPTH levels deep; a deeper rule is a RuleSyntaxError at the
-token that passes the limit.  An INT is a run of decimal digits; one
-longer than int() converts (sys.get_int_max_str_digits(), 4300 by default
-since Python 3.11 and 3.10.7) is a RuleSyntaxError at its first digit.
+token that passes the limit.
+
+Lexically, an INT is a run of Unicode decimal digits, a word is a letter or
+"_" followed by letters, digits or "_", any Unicode space separates tokens,
+and a lone "=" or "!" is an "incomplete operator".  An INT longer than int()
+converts (sys.get_int_max_str_digits(), 4300 by default since Python 3.11
+and 3.10.7) is a RuleSyntaxError at its first digit.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -50,6 +55,8 @@ from typing import Callable, Iterable
 from .errors import DomainError, RuleEvaluationError, RuleSyntaxError, message_int
 
 _KEYWORDS = {"n", "and", "or", "not", "if", "ilog2", "ipow"}
+# An int, a word, an operator, or any other character; whitespace matches none.
+_TOKEN = re.compile(r"(\d+)|(\w+)|(==|!=|<=|>=|[-+*/%<>(),])|(\S)")
 _CMP_OPS = {"==": ast.Eq, "!=": ast.NotEq, "<=": ast.LtE, ">=": ast.GtE,
             "<": ast.Lt, ">": ast.Gt}
 _ARITY = {"ilog2": 1, "ipow": 2, "if": 3}
@@ -71,41 +78,18 @@ _MAX_RULE_DEPTH = 100
 
 def _tokenize(source: str) -> list[tuple[str, str, int]]:
     tokens = []
-    i = 0
-    while i < len(source):
-        ch = source[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdecimal():
-            j = i
-            while j < len(source) and source[j].isdecimal():
-                j += 1
-            tokens.append(("int", source[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(source) and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            word = source[i:j]
-            if word not in _KEYWORDS:
-                raise RuleSyntaxError(f"unknown identifier {word!r}", i)
-            tokens.append(("word", word, i))
-            i = j
-            continue
-        two = source[i : i + 2]
-        if two in _CMP_OPS:
-            tokens.append(("op", two, i))
-            i += 2
-            continue
-        if ch in "+-*/%<>(),":
-            tokens.append(("op", ch, i))
-            i += 1
-            continue
-        if ch in "=!":
-            raise RuleSyntaxError(f"incomplete operator {ch!r}", i)
-        raise RuleSyntaxError(f"unexpected character {ch!r}", i)
+    for m in _TOKEN.finditer(source):
+        group, text, at = m.lastindex, m.group(), m.start()
+        if group == 1 or group == 3:
+            tokens.append(("int" if group == 1 else "op", text, at))
+        elif group == 2 and (text[0].isalpha() or text[0] == "_"):
+            if text not in _KEYWORDS:
+                raise RuleSyntaxError(f"unknown identifier {text!r}", at)
+            tokens.append(("word", text, at))
+        elif text[0] in "=!":
+            raise RuleSyntaxError(f"incomplete operator {text[0]!r}", at)
+        else:
+            raise RuleSyntaxError(f"unexpected character {text[0]!r}", at)
     tokens.append(("eof", "", len(source)))
     return tokens
 
@@ -133,8 +117,8 @@ class _Parser:
         return tok
 
     def expect(self, text: str):
-        kind, val, at = self.peek()
-        if val != text or kind == "eof":
+        _, val, at = self.peek()
+        if val != text:
             raise RuleSyntaxError(f"expected {text!r}", at)
         return self.take()
 

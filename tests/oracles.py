@@ -625,3 +625,47 @@ def set_spec_oracle(tree, n):
         return "range", n
     except RuleOracleError:
         return "rule", n
+
+
+_RULE_ORACLE_KEYWORDS = {"n", "and", "or", "not", "if", "ilog2", "ipow"}
+
+
+def rule_tokens_oracle(source):
+    """Tokens of a colouring rule by a character-at-a-time scan, or
+    ("error", message, offset) at the first character that starts none.
+
+    Tokens are (kind, text, offset): "int" for a run of str.isdecimal
+    characters, "word" for a keyword (a letter or "_", then str.isalnum
+    characters or "_"), "op" for an operator or bracket, and a final
+    ("eof", "", len(source)).  str.isspace characters separate tokens.
+    """
+    tokens = []
+    i = 0
+    while i < len(source):
+        ch = source[i]
+        if ch.isspace():
+            i += 1
+            continue
+        j = i + 1
+        if ch.isdecimal():
+            while j < len(source) and source[j].isdecimal():
+                j += 1
+            tokens.append(("int", source[i:j], i))
+        elif ch.isalpha() or ch == "_":
+            while j < len(source) and (source[j].isalnum() or source[j] == "_"):
+                j += 1
+            if source[i:j] not in _RULE_ORACLE_KEYWORDS:
+                return "error", f"unknown identifier {source[i:j]!r}", i
+            tokens.append(("word", source[i:j], i))
+        elif source[i:i + 2] in ("==", "!=", "<=", ">="):
+            j = i + 2
+            tokens.append(("op", source[i:j], i))
+        elif ch in "+-*/%<>(),":
+            tokens.append(("op", ch, i))
+        elif ch in "=!":
+            return "error", f"incomplete operator {ch!r}", i
+        else:
+            return "error", f"unexpected character {ch!r}", i
+        i = j
+    tokens.append(("eof", "", len(source)))
+    return tokens

@@ -426,6 +426,14 @@ def test_spec_errors_past_a_chunk_edge_exit_codes(capsys, spec, exit_code, messa
         assert (code, out, capsys.readouterr().err) == (exit_code, "", f"error: {message}\n")
 
 
+def test_materialize_past_the_member_limit_exits_2(capsys):
+    code, out = run_cli("ip", "gp", "--length", "3", "--lo", "1", "--hi", "1000000000",
+                        "--spec", "all")
+    err = capsys.readouterr().err
+    assert (code, out) == (2, "")
+    assert err == "error: window [1, 1000000000] holds more than 1048576 members\n"
+
+
 def test_parser_state_does_not_leak_between_calls():
     base = ("closure", "--seeds", "2", "--depth", "2")
     code, first = run_cli(*base)

@@ -10,6 +10,7 @@ from collections import Counter
 import pytest
 
 from exporamsey import (
+    CapacityError,
     Caps,
     DomainError,
     IpStarVerdict,
@@ -28,7 +29,7 @@ from exporamsey import (
     transform,
     window_set,
 )
-from exporamsey import rules
+from exporamsey import ipsets, rules
 from exporamsey.ipsets import windowset_record
 from exporamsey.tower import ikth_root
 
@@ -502,6 +503,28 @@ def test_materialize_matches_contains():
         a = spec.materialize(lo, hi)
         assert (a.lo, a.hi) == (lo, hi)
         assert a.members == {n for n in range(lo, hi + 1) if spec.contains(n)}
+
+
+def test_materialize_member_limit(monkeypatch):
+    monkeypatch.setattr(ipsets, "_MEMBER_LIMIT", 10)
+    # the limit counts members, not the window's width
+    for text, lo, hi, size in (("all", 1, 10, 10), ("residue:3:0", 1, 32, 10),
+                               ("complement:residue:2:0", 0, 19, 10),
+                               ("explicit:4,16,64", 0, 10 ** 12, 3)):
+        assert len(parse_set_spec(text).materialize(lo, hi).members) == size
+    for text, lo, hi in (("all", 1, 11), ("residue:3:0", 1, 33),
+                         ("complement:residue:2:0", 0, 21), ("rule:if(n < 2000, 1, 1 / 0)", 1, 3000)):
+        spec = parse_set_spec(text)
+        with pytest.raises(CapacityError) as err:
+            spec.materialize(lo, hi)
+        assert str(err.value) == f"window [{lo}, {hi}] holds more than 10 members"
+    # a rule failing before the limit is reached keeps its own error
+    with pytest.raises(RuleEvaluationError) as err:
+        parse_set_spec("rule:if(n < 8, 1, 1 / 0)").materialize(1, 100)
+    assert str(err.value) == "rule evaluation failed at n=8: division by zero"
+    # the IP* probe materializes its complement under the same limit
+    with pytest.raises(CapacityError):
+        is_ip_star_window(parse_set_spec("residue:5:0"), "additive", 1, (1, 100))
 
 
 def _random_spec(rng: random.Random, levels: int) -> tuple[SetSpec, str]:

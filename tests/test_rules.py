@@ -1,11 +1,16 @@
 """Rule-DSL parsing and evaluation semantics."""
 
+import random
+import string
 import sys
 
 import pytest
 
 from exporamsey import DomainError, RuleEvaluationError, RuleSyntaxError, parse_rule
 from exporamsey.rules import _MAX_RULE_DEPTH as DEPTH
+from exporamsey.rules import _tokenize
+
+from oracles import rule_tokens_oracle
 
 
 def color(src, n, k=2):
@@ -219,3 +224,46 @@ def test_rules_at_the_depth_limit_evaluate():
         for frames in (100, 500):
             rule = _call_from_depth(frames, lambda: parse_rule(source, 1000))
             assert rule.color(7) == value % 1000, (source, frames)
+
+
+def _tokens_or_error(source):
+    try:
+        return _tokenize(source)
+    except RuleSyntaxError as err:
+        return "error", str(err), err.position
+
+
+def _assert_tokens_agree(sources):
+    for source in sources:
+        want = rule_tokens_oracle(source)
+        if want[0] == "error":
+            _, message, at = want
+            want = "error", f"syntax error at position {at}: {message}", at
+        assert _tokens_or_error(source) == want, ascii(source)
+
+
+def test_tokens_match_the_oracle_on_every_code_point():
+    # alone, ending a word and starting a number; the astral ones are a
+    # decimal digit, a letter, a symbol and the last code point
+    chars = [chr(c) for c in range(0x10000)] + ["\U0001D7D9", "\U0001D427", "\U0001F600",
+                                                "\U0010FFFF"]
+    _assert_tokens_agree(chars)
+    _assert_tokens_agree("n" + ch for ch in chars)
+    _assert_tokens_agree(ch + "1" for ch in chars)
+
+
+def test_tokens_match_the_oracle_on_random_sources():
+    # mostly pieces that tokenize, so that a source reaches its later characters
+    tokens = ["n", "and", "or", "not", "if", "ilog2", "ipow", "==", "!=", "<=", ">=", "12",
+              *"0123456789+-*/%<>(),", " ", "\t", "\n",
+              # Unicode decimal digits and spaces
+              *"\u0663\u06f9\u0966\U0001D7D9", *"\u00a0\u2003\u3000\x1c\x85\u2028"]
+    # and some that may not: any printable ASCII, other digits and numerics,
+    # letters, and characters that are not spaces
+    others = [*string.printable, *"\u00b2\u00bd\u2167", *"\u00e9\u00df\u03a9\u0430\u4e2d",
+              *"\U0001D427\u02b0\u200b\ufeff"]
+    rng = random.Random(20261020)
+    _assert_tokens_agree(
+        "".join(rng.choice(others if rng.random() < 0.05 else tokens)
+                for _ in range(rng.randint(0, 16)))
+        for _ in range(20000))
