@@ -33,9 +33,6 @@ class WindowSet:
         if any(m < self.lo or m > self.hi for m in self.members):
             raise DomainError("members outside window")
 
-    def sorted_members(self) -> list[int]:
-        return sorted(self.members)
-
 
 def window_set(lo: int, hi: int, members: Iterable[int]) -> WindowSet:
     return WindowSet(lo=lo, hi=hi, members=frozenset(members))
@@ -61,6 +58,24 @@ def _ilog_floor(x: int, base: int) -> int:
     return m
 
 
+def _identity(m: int) -> int:
+    return m
+
+
+def _preimage(a: WindowSet, lo: int, hi: int, image: Callable[[int], int],
+              floor: Callable[[int], int]) -> Iterator[int]:
+    """The m in [lo, hi] with image(m) in a, from whichever side is smaller.
+
+    image is increasing and floor(x) is the largest m with image(m) <= x.  A
+    window shorter than the member count is scanned in ascending order;
+    otherwise each member x maps back to floor(x), kept when it lies in
+    [lo, hi] and its image is x again, in set order.
+    """
+    if hi - lo < len(a.members):
+        return (m for m in range(lo, hi + 1) if image(m) in a.members)
+    return (m for x in a.members if lo <= (m := floor(x)) <= hi and image(m) == x)
+
+
 def transform(a: WindowSet, op: str, n: int) -> WindowSet:
     """Preimage of a under shift/divide/log/root, in its shrunken window.
 
@@ -69,41 +84,33 @@ def transform(a: WindowSet, op: str, n: int) -> WindowSet:
     log(n):    {m : n**m in A}    on [ceil(log_n lo), floor(log_n hi)]
     root(n):   {m : m**n in A}    on [ceil(lo**(1/n)), floor(hi**(1/n))]
 
-    Each op pairs its image m -> x with a floor inverse x -> m; a ceiling is
-    the floor at lo - 1, plus one.  As in `_members_between`, the members come
-    from the smaller side: the window, by image, or A, by each floor inverse
-    in the window that maps back exactly.  A collapsed window comes back as
-    [0, 0].
+    Each op pairs its image m -> x with a floor inverse x -> m, which is -1
+    below the image of 0; a ceiling is the floor at lo - 1, plus one.
+    `_preimage` reads the members from the smaller side, the window or A.  A
+    collapsed window comes back as [0, 0].
     """
     if op == "shift":
         if n < 0:
             raise DomainError("shift requires n >= 0")
-        lo, hi = max(a.lo - n, 0), a.hi - n
-        image, floor = (lambda m: m + n), (lambda x: x - n)
+        image, floor = (lambda m: m + n), (lambda x: max(x - n, -1))
     elif op == "divide":
         if n < 1:
             raise DomainError("divide requires n >= 1")
-        lo, hi = -(-a.lo // n), a.hi // n
         image, floor = (lambda m: m * n), (lambda x: x // n)
     elif op == "log":
         if n < 2:
             raise DomainError("log requires n >= 2")
         image, floor = (lambda m: n ** m), (lambda x: _ilog_floor(x, n))
-        lo, hi = floor(a.lo - 1) + 1, floor(a.hi)
     elif op == "root":
         if n < 1:
             raise DomainError("root requires n >= 1")
-        image, floor = (lambda m: m ** n), (lambda x: ikth_root(x, n))
-        lo, hi = floor(a.lo - 1) + 1 if a.lo else 0, floor(a.hi)
+        image, floor = (lambda m: m ** n), (lambda x: ikth_root(x, n) if x >= 0 else -1)
     else:
         raise DomainError(f"unknown transform {op!r}")
+    lo, hi = floor(a.lo - 1) + 1, floor(a.hi)
     if hi < lo:
         return WindowSet(lo=0, hi=0, members=frozenset())
-    if hi - lo < len(a.members):
-        members = (m for m in range(lo, hi + 1) if image(m) in a.members)
-    else:
-        members = (m for x in a.members if lo <= (m := floor(x)) <= hi and image(m) == x)
-    return _window_unchecked(lo, hi, frozenset(members))
+    return _window_unchecked(lo, hi, frozenset(_preimage(a, lo, hi, image, floor)))
 
 
 @dataclass(frozen=True)
@@ -122,7 +129,7 @@ _BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 def _seed_search(a: WindowSet, m: int, multiplicative: bool, caps: Caps) -> SeedSearchResult:
     if m < 1:
         raise DomainError("seed size must be >= 1")
-    members = a.sorted_members()
+    members = sorted(a.members)
     inside = a.members
     n = len(members)
     top = members[-1] if members else 0
@@ -401,34 +408,21 @@ def is_ip_star_window(
     return IpStarVerdict(verdict="inconclusive")
 
 
-def _members_between(a: WindowSet, first: int, last: int) -> list[int]:
-    """Members of a in [first, last], ascending, from whichever is smaller: the
-    range or the member set."""
-    if last - first < len(a.members):
-        return [n for n in range(first, last + 1) if n in a.members]
-    return sorted(n for n in a.members if first <= n <= last)
-
-
 def find_geometric_progressions(a: WindowSet, length: int) -> list[tuple[int, int]]:
     """All (start, ratio) with ratio >= 2 whose first `length` terms lie in a.
 
     Only starts up to hi / 2**(length - 1) can have a last term inside the window,
-    and only ratios up to (hi / start)**(1 / (length - 1)).  Where that bound
-    exceeds the member count, the ratios come from the members start * h instead.
+    and only ratios up to (hi / start)**(1 / (length - 1)).  Starts and ratios
+    both come from `_preimage`, so start and start * ratio are members already.
     """
     if length < 2:
         raise DomainError("progression length must be >= 2")
-    out, ms = [], None
-    for start in _members_between(a, max(a.lo, 1), a.hi >> (length - 1)):
+    out = []
+    for start in sorted(_preimage(a, max(a.lo, 1), a.hi >> (length - 1), _identity, _identity)):
         bound = ikth_root(a.hi // start, length - 1)
-        if bound > len(a.members):
-            ms = ms or a.sorted_members()
-            multiples = ms[bisect_left(ms, 2 * start):bisect_right(ms, start * bound)]
-            hs = [m // start for m in multiples if m % start == 0]
-        else:
-            hs = range(2, bound + 1)
+        hs = sorted(_preimage(a, 2, bound, start.__mul__, lambda x: x // start))
         out.extend((start, h) for h in hs
-                   if all(start * h ** i in a.members for i in range(length)))
+                   if all(start * h ** i in a.members for i in range(2, length)))
     return out
 
 
@@ -439,12 +433,12 @@ def find_power_progressions(a: WindowSet, length: int) -> list[int]:
     """
     if length < 2:
         raise DomainError("progression length must be >= 2")
-    return [h for h in _members_between(a, max(a.lo, 2), ikth_root(a.hi, length))
-            if all(h ** i in a.members for i in range(2, length + 1))]
+    bases = _preimage(a, max(a.lo, 2), ikth_root(a.hi, length), _identity, _identity)
+    return [h for h in sorted(bases) if all(h ** i in a.members for i in range(2, length + 1))]
 
 
 def windowset_record(a: WindowSet) -> dict:
-    return {"lo": a.lo, "hi": a.hi, "members": [int_text(m) for m in a.sorted_members()]}
+    return {"lo": a.lo, "hi": a.hi, "members": [int_text(m) for m in sorted(a.members)]}
 
 
 def verdict_record(v: IpStarVerdict) -> dict:

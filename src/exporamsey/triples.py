@@ -31,9 +31,6 @@ from .tower import (
     try_evaluate,
 )
 
-# Certification ceiling for materializing a triple's exponent part.  Real
-# uses keep b within value_bit_cap, which is far below this.
-_TRIPLE_B_BITS = 1 << 20
 # Largest base a, about the square root of the bound on c, that the integer
 # triple kernels take.  Their time, and the memory of `enumerate_triples`,
 # grow with the number of bases: a bound of 10**12 (10**6 bases) is allowed,
@@ -52,13 +49,9 @@ class ExpTriple:
     c: PowerForm
 
     def __post_init__(self):
-        if self.c.root != self.a.root:
-            raise DomainError(f"not an exponential triple: {self}")
-        lo = self.b.exponent * (self.b.root.bit_length() - 1) + 1
-        if lo > _TRIPLE_B_BITS:
-            raise DomainError(f"triple exponent part too large to certify: {self.b}")
-        vb = self.b.root ** self.b.exponent
-        if self.c.exponent != self.a.exponent * vb:
+        # in a triple value(b) divides c's exponent, so a wider b is none
+        vb = _try_value(self.b.root, self.b.exponent, self.c.exponent.bit_length())
+        if self.c.root != self.a.root or vb is None or self.c.exponent != self.a.exponent * vb:
             raise DomainError(f"not an exponential triple: {self}")
 
     def __str__(self) -> str:

@@ -252,6 +252,21 @@ def test_non_integer_hypergraph_record_rejected(tmp_path, capsys):
         assert "malformed hypergraph record" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("vertices, edge, message", [
+    (((2, 1), (3, 1), (2, 2)), [0, 1, 5], "edge (0, 1, 5) out of range"),
+    (((2, 1), (3, 1), (2, 2)), [0, 1, 2], "not an exponential triple: (2, 3, 2^2)"),
+    # value(b) has more bits than c's exponent, so it cannot divide it
+    (((2, 1), (2, 5), (2, 1 << 20)), [0, 2, 1],
+     "not an exponential triple: (2, 2^1048576, 2^5)"),
+], ids=["out_of_range", "not_a_triple", "wide_b"])
+def test_non_triple_hypergraph_edge_rejected(tmp_path, capsys, vertices, edge, message):
+    f = tmp_path / "h.json"
+    forms = [{"root": str(root), "exp": str(exp)} for root, exp in vertices]
+    f.write_text(json.dumps({"vertices": forms, "edges": [edge]}))
+    assert run_cli("color", "solve", "--hypergraph", str(f), "--k", "2") == (1, "")
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_hypergraph_record_past_the_caps_is_a_capacity_error(tmp_path, capsys):
     _, rec = run_json("closure", "--seeds", "2", "--depth", "1")
     f = tmp_path / "h.json"
@@ -424,6 +439,52 @@ def test_spec_errors_past_a_chunk_edge_exit_codes(capsys, spec, exit_code, messa
                     ("ip", "powerprog", "--length", "3")):
         code, out = run_cli(*command, "--lo", "2", "--hi", "3000", "--spec", spec)
         assert (code, out, capsys.readouterr().err) == (exit_code, "", f"error: {message}\n")
+
+
+_WINDOW = ("--length", "3", "--lo", "1", "--hi", "10")
+
+
+@pytest.mark.parametrize("argv, exit_code, record, error", [
+    (("closure", "--seeds", "2,x", "--depth", "1"), 3, None,
+     "exporamsey closure: error: argument --seeds: expected comma-separated integers, got '2,x'"),
+    (("ip", "gp", *_WINDOW, "--members", "2,4", "--spec", "all"), 1, None,
+     "error: give either --members or --spec, not both"),
+    (("ip", "gp", *_WINDOW), 1, None, "error: one of --members or --spec is required"),
+    (("color", "solve", "--seeds", "2"), 1, None,
+     "error: need --seeds and --depth (or --hypergraph)"),
+    (("ip", "transform", "--op", "shift", "--n", "-1", "--lo", "0", "--hi", "10",
+      "--members", "1"), 1, None, "error: shift requires n >= 0"),
+    (("ip", "gp", "--length", "1", "--lo", "1", "--hi", "10", "--members", "2"), 1, None,
+     "error: progression length must be >= 2"),
+    (("ip", "powerprog", "--length", "1", "--lo", "1", "--hi", "10", "--members", "2"), 1, None,
+     "error: progression length must be >= 2"),
+    (("ip", "gp", *_WINDOW, "--spec", "residue:2:0@1-5"), 1, None,
+     "error: bad window suffix '1-5', expected LO..HI"),
+    (("ip", "gp", *_WINDOW, "--spec", "bogus"), 1, None, "error: bad set spec 'bogus'"),
+    (("ip", "gp", *_WINDOW, "--spec", "explicit:1,x"), 1, None,
+     "error: bad explicit member list '1,x'"),
+    (("greedy", "fegen1", "--spec", "all", "--y", "1,2,3", "--f", "constant:x", "--steps", "1"),
+     1, None, "error: bad constant in f_spec 'constant:x'"),
+    (("structures", "fe1", "--seeds", "", "--depth", "0"), 1, None,
+     "error: seed sequence must be non-empty"),
+    # a step whose base is past the value cap is a failure record, not an error line
+    (("--value-bit-cap", "8", "greedy", "fe1", "--spec", "all", "--depth", "1",
+      "--lo", "300", "--hi", "400"), 2,
+     {"status": "failure", "step": 1, "reason": "capacity",
+      "detail": "input bit length 9 exceeds value_bit_cap 8"}, None),
+], ids=["seeds_not_integers", "members_and_spec", "neither_members_nor_spec", "solve_no_depth",
+        "negative_shift", "gp_length_1", "powerprog_length_1", "bad_window_suffix",
+        "unknown_spec", "bad_explicit_member", "bad_constant", "empty_seeds",
+        "greedy_step_capacity"])
+def test_cli_input_errors(capsys, argv, exit_code, record, error):
+    code, out = run_cli(*argv)
+    err = capsys.readouterr().err
+    assert code == exit_code
+    assert (json.loads(out) if out else None) == record
+    if error is None:
+        assert err == ""
+    else:  # a usage error prints the usage lines before its one error line
+        assert err.endswith(f"{error}\n") and err.count("error:") == 1
 
 
 def test_materialize_past_the_member_limit_exits_2(capsys):

@@ -132,6 +132,10 @@ def test_exp_triple_validation():
         ExpTriple(normalize(2), normalize(2), normalize(8))
     t = ExpTriple(normalize(2), normalize(3), normalize(8))
     assert evaluate(t.c) == 8
+    # value(b) would have 10**9 bits, more than c's exponent 5 has, so it is never built
+    with pytest.raises(DomainError) as wide:
+        ExpTriple(normalize(2), PowerForm(2, 10 ** 9), PowerForm(2, 5))
+    assert str(wide.value) == "not an exponential triple: (2, 2^1000000000, 2^5)"
 
 
 def test_triples_within_examples():
