@@ -45,6 +45,18 @@ def run_json(*argv):
     return code, json.loads(out)
 
 
+_SRC = str(Path(exporamsey.__file__).resolve().parents[1])
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def run_bounded(argv, timeout):
+    """Run the CLI in a fresh interpreter; a run past `timeout` seconds fails the test."""
+    done = subprocess.run([sys.executable, "-m", "exporamsey.cli", *argv],
+                          env=dict(os.environ, PYTHONPATH=_SRC), capture_output=True,
+                          text=True, timeout=timeout)
+    return done.returncode, done.stdout, done.stderr
+
+
 def test_triples_enum_golden():
     code, data = run_json("triples", "enum", "--max", "16")
     assert code == 0
@@ -442,6 +454,7 @@ def test_spec_errors_past_a_chunk_edge_exit_codes(capsys, spec, exit_code, messa
 
 
 _WINDOW = ("--length", "3", "--lo", "1", "--hi", "10")
+_POWERPROG = ("ip", "powerprog", "--length", "3", "--lo", "2", "--hi", "40000", "--spec")
 
 
 @pytest.mark.parametrize("argv, exit_code, record, error", [
@@ -472,10 +485,47 @@ _WINDOW = ("--length", "3", "--lo", "1", "--hi", "10")
       "--lo", "300", "--hi", "400"), 2,
      {"status": "failure", "step": 1, "reason": "capacity",
       "detail": "input bit length 9 exceeds value_bit_cap 8"}, None),
+    # a type-II query past the membership bit limit is a failure record too
+    (("greedy", "fe2", "--spec", "all", "--depth", "1", "--lo", "2097152", "--hi", "2097160"), 2,
+     {"status": "failure", "step": 1, "reason": "capacity",
+      "detail": "2097153**2097152 too large for a membership query"}, None),
+    (("greedy", "fe1", "--spec", "all", "--depth", "-1", "--lo", "2", "--hi", "10"), 1, None,
+     "error: depth must be >= 0"),
+    (("greedy", "fe1", "--spec", "residue:x:1", "--depth", "1", "--lo", "2", "--hi", "10"), 1,
+     None, "error: residue spec needs residue:M:R, got 'residue:x:1'"),
+    # a spec's window pass raises the error of the first failing n, through a complement too
+    ((*_POWERPROG, "complement:rule:n / (n - 30000)"), 1, None,
+     "error: rule evaluation failed at n=30000: division by zero"),
+    ((*_POWERPROG, "complement:residue:2:0@1..10000"), 2, None,
+     "error: membership undecidable for 10001"),
+    # a rule word is a letter or "_", then letters, digits or "_"
+    (("color", "rule-count", "--rule", "n + é", "--max", "10"), 1, None,
+     "error: syntax error at position 4: unknown identifier 'é'"),
+    (("color", "rule-count", "--rule", "n + ²", "--max", "10"), 1, None,
+     "error: syntax error at position 4: unexpected character '²'"),
+    pytest.param(("color", "rule-count", "--rule", "1" * 5000, "--k", "2", "--max", "10"), 1, None,
+                 f"error: syntax error at position 0: integer literal longer than {_DIGIT_LIMIT} "
+                 "digits", marks=pytest.mark.skipif(not 0 < _DIGIT_LIMIT < 5000,
+                                                    reason="needs a digit limit below 5000")),
+    # rule-count colours from tables and still names the first failing n of the in-order walk
+    (("color", "rule-count", "--rule", "1 / (n - 10000)", "--k", "2", "--max", "100000000"), 1,
+     None, "error: rule evaluation failed at n=10000: division by zero"),
+    (("color", "rule-count", "--rule", "ilog2(n - 4) % 2", "--k", "2", "--max", "100"), 1, None,
+     "error: rule evaluation failed at n=2: ilog2 of non-positive value -2"),
+    # the tables colour base 5 before 16, but the walk meets the c of (2, 4, 16) first
+    (("color", "rule-count", "--rule", "if(n == 5 or n == 16, 1 / 0, 0)", "--k", "2",
+      "--max", "100"), 1, None, "error: rule evaluation failed at n=16: division by zero"),
+    (("color", "rule-count", "--rule", "n", "--k", "1000000000000", "--max", "100"), 2, None,
+     "error: a 1000000000000-cell count at 1 bounds has 1000000000000 cells, over the limit of "
+     "1048576"),
 ], ids=["seeds_not_integers", "members_and_spec", "neither_members_nor_spec", "solve_no_depth",
         "negative_shift", "gp_length_1", "powerprog_length_1", "bad_window_suffix",
         "unknown_spec", "bad_explicit_member", "bad_constant", "empty_seeds",
-        "greedy_step_capacity"])
+        "greedy_step_capacity", "greedy_fe2_query_too_large", "greedy_negative_depth",
+        "residue_modulus_not_integer", "complement_rule_fails_at_30000",
+        "complement_window_ends_at_10000", "rule_word_non_ascii_letter",
+        "rule_superscript_digit", "rule_literal_past_digit_limit", "rule_fails_at_10000",
+        "rule_ilog2_fails_at_2", "rule_fails_at_16_before_5", "rule_count_cells_past_limit"])
 def test_cli_input_errors(capsys, argv, exit_code, record, error):
     code, out = run_cli(*argv)
     err = capsys.readouterr().err
@@ -485,6 +535,107 @@ def test_cli_input_errors(capsys, argv, exit_code, record, error):
         assert err == ""
     else:  # a usage error prints the usage lines before its one error line
         assert err.endswith(f"{error}\n") and err.count("error:") == 1
+
+
+def _pick(record, path):
+    """The field of `record` at `path`, a sequence of keys and indices; `len` counts."""
+    for key in path:
+        record = len(record) if key is len else record[key]
+    return record
+
+
+def _forms(*pairs):
+    return [{"root": str(r), "exp": str(e), "value": str(r ** e)} for r, e in pairs]
+
+
+def _seq(n, start=1, step=1):
+    return ",".join(str(i) for i in range(start, n + 1, step))
+
+
+_WIDE_ROOT = {"vertices": [{"root": str(2 ** 12000 + 1), "exp": "1"}], "edges": []}
+_WIDE_B = {"vertices": [{"root": "2", "exp": e} for e in ("1", "5", str(2 ** 20))],
+           "edges": [[0, 2, 1]]}
+
+
+@pytest.mark.parametrize("timeout, argv, exit_code, field, expected, error", [
+    # 2^7, 3^7 and 2^42 = (2^6)^7 each reach perfect_power's word-size table lookup
+    (None, ("closure", "--seeds", "128,2187,4398046511104", "--depth", "0"), 0, ("vertices",),
+     _forms((2, 7), (3, 7), (2, 42)), None),
+    # the largest fifth power, cube and square below 2^64 take float-seeded roots in the
+    # word-size routine; (2^32+1)^2 reaches it after one square root
+    (None, ("closure", "--seeds", "18446744065119617025,18446724184312856125,"
+            "18439629140666724651,18446744082299486209", "--depth", "0"), 0, ("vertices",),
+     _forms((7131, 5), (2642245, 3), (4294967295, 2), (4294967297, 2)), None),
+    (None, ("color", "rule-count", "--rule", "n % 2", "--k", "2", "--max", "10000000000"), 0,
+     ("counts", 0, "triples"), 102719, None),
+    (None, ("greedy", "verify", "--spec", "all@1..10", "--x", "3,5", "--y", "3,5", "--depth", "1"),
+     2, ("checks", 1), {"name": "FE1(X)", "verdict": "inconclusive",
+                        "violator": "membership undecidable for 243"}, None),
+    (None, ("closure", "--seeds", "5,6", "--depth", "3"), 0, ("edges", len), 1012, None),
+    (None, ("closure", "--seeds", "2,3,5,7", "--depth", "2"), 0, ("edges", len), 1488, None),
+    (None, ("color", "solve", "--seeds", "2,3", "--depth", "2", "--k", "2"), 0, ("status",),
+     "UNSAT", None),
+    (None, (*_POWERPROG, "rule:n % 3"), 0, ("bases",), [str(b) for b in range(4, 35, 3)], None),
+    (None, (*_POWERPROG, "complement:residue:5:0"), 0, ("bases", len), 27, None),
+    (None, (*_POWERPROG, "rule:ilog2(n) % 2"), 0, ("bases",), ["13", "14", "15"], None),
+    (None, ("ip", "gp", "--length", "4", "--lo", "1", "--hi", "3000",
+            "--spec", "complement:residue:5:0"), 0, ("progressions", len), 457, None),
+    (None, ("ip", "transform", "--op", "root", "--n", "3", "--lo", "0", "--hi", "30",
+            "--members", "0,1,8,27"), 0, ("result",),
+     {"lo": 0, "hi": 3, "members": ["0", "1", "2", "3"]}, None),
+    (None, ("ip", "ip-star", "--kind", "multiplicative", "--m", "3", "--lo", "1", "--hi", "2000",
+            "--spec", "complement:residue:5:0"), 0, ("witness",), ["5", "10", "15"], None),
+    (None, ("ip", "ip-star", "--kind", "additive", "--m", "4", "--lo", "1", "--hi", "160",
+            "--spec", "rule:ilog2(n) % 2"), 0, ("witness",), ["1", "4", "16", "64"], None),
+    (None, ("greedy", "fegen1", "--spec", "complement:residue:5:0", "--y", _seq(16),
+            "--f", "constant:3", "--steps", "3", "--budget", "3000"), 0, ("state", "x"),
+     ["1", "2", "3"], None),
+    (None, ("greedy", "fegen2", "--spec", "residue:3:0", "--y", _seq(17, 3, 2),
+            "--f", "constant:2", "--steps", "3", "--budget", "3000"), 0, ("state", "x"),
+     ["3", "315", "2145"], None),
+    # a transform and gp's ratios read A's members when they are fewer than the window's
+    (10, ("ip", "transform", "--op", "shift", "--n", "0", "--lo", "0", "--hi", "1000000000000",
+          "--members", "5"), 0, ("result", "members"), ["5"], None),
+    (10, ("ip", "gp", "--length", "3", "--lo", "0", "--hi", "1000000000000",
+          "--members", "4,16,64,100000,10000000000"), 0, ("progressions",), [["4", "4"]], None),
+    (30, ("ip", "gp", "--length", "3", "--lo", "1", "--hi", "1000000000", "--spec", "all"), 2, (),
+     None, "window [1, 1000000000] holds more than 1048576 members"),
+    (60, ("color", "solve", "--seeds", "2", "--depth", "4", "--k", "3"), 0,
+     ("coloring", "colors", len), 112, None),
+    (10, ("color", "solve", "--seeds", "2,3", "--depth", "2", "--k", "1000000000000"), 0,
+     ("status",), "SAT", None),
+    # the seed search jumps between its 62,750,750 plain-scan candidates by bitmask
+    (30, ("--search-budget", "1000000000", "ip", "ip-star", "--kind", "additive", "--m", "4",
+          "--lo", "1", "--hi", "1500", "--spec", "residue:3:0"), 0, ("verdict",), "holds", None),
+    # each distinct block value is asked about once per prefix
+    (30, ("greedy", "fegen1", "--spec", "rule:ilog2(n) % 2", "--y", _seq(24), "--f", "max-fe1",
+          "--steps", "4", "--budget", "200000"), 2, ("explored",), 200001, None),
+    (10, ("color", "solve", "--hypergraph", _WIDE_ROOT), 2, (), None,
+     "hypergraph vertex root of 12001 bits exceeds value_bit_cap 4096"),
+    (10, ("color", "solve", "--hypergraph", _WIDE_B), 1, (), None,
+     "not an exponential triple: (2, 2^1048576, 2^5)"),
+], ids=["word_size_table", "word_size_float_roots", "rule_count_triples_1e10",
+        "verify_fe1_inconclusive", "closure_5_6", "closure_2_3_5_7", "solve_unsat",
+        "powerprog_rule", "powerprog_complement", "powerprog_ilog2", "gp_complement",
+        "transform_root", "ip_star_multiplicative", "ip_star_additive", "fegen1_complement",
+        "fegen2_residue", "transform_wide_window", "gp_wide_window", "gp_member_limit",
+        "solve_k3_112_vertices", "solve_k_1e12", "ip_star_exhaustive", "fegen1_200000",
+        "hypergraph_wide_root", "hypergraph_wide_b"])
+def test_cli_answers(tmp_path, capsys, timeout, argv, exit_code, field, expected, error):
+    """One field of a command's record; a timed row runs in a fresh interpreter within its bound."""
+    if isinstance(argv[-1], dict):  # a hypergraph record, read from a file
+        f = tmp_path / "in.json"
+        f.write_text(json.dumps(argv[-1]))
+        argv = (*argv[:-1], str(f))
+    if timeout is None:
+        code, out = run_cli(*argv)
+        err = capsys.readouterr().err
+    else:
+        code, out, err = run_bounded(argv, timeout)
+        assert not out or out == json.dumps(json.loads(out), indent=2) + "\n"
+    assert code == exit_code
+    assert (_pick(json.loads(out), field) if out else None) == expected
+    assert err == ("" if error is None else f"error: {error}\n")
 
 
 def test_materialize_past_the_member_limit_exits_2(capsys):
@@ -524,10 +675,9 @@ def test_deterministic_byte_identical():
     ("color", "solve", "--seeds", "2,3", "--depth", "2", "--k", "3"),
 ])
 def test_byte_identical_across_processes(argv):
-    src = str(Path(exporamsey.__file__).resolve().parents[1])
     outputs = []
     for hash_seed in ("0", "12345"):  # set and str iteration order differ between these
-        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=_SRC)
         done = subprocess.run([sys.executable, "-m", "exporamsey.cli", *argv],
                               env=env, capture_output=True, check=True, timeout=120)
         outputs.append(done.stdout)
@@ -579,19 +729,14 @@ def test_color_solve_has_no_method_flag(capsys, method):
 
 def test_closed_stdout_exits_quietly():
     """A reader that stops early, as `| head -c 10` does, sees exit 0 and no traceback."""
-    src = str(Path(exporamsey.__file__).resolve().parents[1])
     argv = [sys.executable, "-m", "exporamsey.cli", "triples", "enum", "--max", "100000000"]
-    with subprocess.Popen(argv, env=dict(os.environ, PYTHONPATH=src),
+    with subprocess.Popen(argv, env=dict(os.environ, PYTHONPATH=_SRC),
                           stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
         assert len(proc.stdout.read(10)) == 10
         proc.stdout.close()
         code = proc.wait(timeout=120)
         err = proc.stderr.read()
     assert (code, err) == (0, b"")
-
-
-def _seq(n):
-    return ",".join(str(i) for i in range(1, n + 1))
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -611,9 +756,6 @@ def test_fixed_guards_pinned(capsys, argv, message):
         assert (json.loads(out)["detail"], err) == (message, "")
     else:
         assert err == f"error: {message}\n"
-
-
-_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 # each input has at most 3701 digits, and each product that is written has over 4800

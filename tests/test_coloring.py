@@ -95,6 +95,15 @@ def test_solve_budget_and_validation():
         solve_constraints(4, h.edges, 2, "backtracking")
 
 
+@pytest.mark.parametrize("num_vertices, edges, message", [
+    (-1, [], "vertex count must be >= 0"),
+    (2, [(0, 1, 2)], r"edge \(0, 1, 2\) out of range"),
+], ids=["negative_vertex_count", "edge_out_of_range"])
+def test_solve_constraints_validation(num_vertices, edges, message):
+    with pytest.raises(DomainError, match=message):
+        solve_constraints(num_vertices, edges, 2)
+
+
 def test_solver_unsat_on_fano_plane():
     # the Fano plane is the minimal non-2-colorable 3-uniform hypergraph
     fano = [(0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6), (2, 4, 5)]

@@ -178,6 +178,12 @@ def test_certificate_verifier_detects_tampering():
     assert not verify_fe_certificate(ALL, unflagged)
 
 
+def test_certificate_with_unordered_seeds_fails_verification():
+    # recomputing from decreasing seeds is a domain error, which the verifier answers with False
+    good = greedy_fe1(ALL, 2, (2, 100))
+    assert not verify_fe_certificate(ALL, replace(good, seeds=good.seeds[::-1]))
+
+
 def test_fegen1_examples():
     out = search_fegen1(ALL, (1, 2, 4, 8), "constant:2", 2)
     assert out.status == "success"
@@ -278,6 +284,13 @@ def test_verify_state_detects_tampering(multiplicative, ys, wrong_value, overlap
     # ODDS rejects the first query, 2**1: t = 2 over x_0 = 1, or x_0 = 2 to t = 1
     with pytest.raises(AssertionError, match="fails its own conditions"):
         _verify_state(ODDS, ys, good, mode, Caps(), multiplicative)
+
+
+def test_verify_state_detects_a_wrong_f_value():
+    good = search_fegen1(ALL, (1, 2, 4, 8), "constant:2", 2).state
+    mode = _parse_f_spec("constant:2", False)
+    with pytest.raises(AssertionError, match="recorded f value disagrees with recomputation"):
+        _verify_state(ALL, (1, 2, 4, 8), replace(good, level_max=(2, 3)), mode, Caps(), False)
 
 
 def test_fegen_budget_inconclusive():

@@ -357,6 +357,11 @@ def test_ip_star_inconclusive_on_budget():
     assert out.verdict == "inconclusive"
 
 
+def test_ip_star_kind_validated():
+    with pytest.raises(DomainError, match="kind must be additive or multiplicative, got 'x'"):
+        is_ip_star_window(SetSpec.residues(1, 0), "x", 2, (1, 10))
+
+
 def test_geometric_progressions_examples():
     assert find_geometric_progressions(window_set(3, 24, {3, 6, 12, 24}), 4) == [(3, 2)]
     assert find_geometric_progressions(window_set(5, 5, {5}), 2) == []

@@ -156,6 +156,15 @@ def test_pow_images():
         pow_image_exp({2}, 4096)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: pow_image_base(2, {-1}), "exponents must be non-negative integers"),
+    (lambda: pow_image_exp({0}, 2), "bases must be positive integers"),
+], ids=["negative_exponent", "zero_base"])
+def test_pow_image_members_validated(call, message):
+    with pytest.raises(DomainError, match=message):
+        call()
+
+
 def test_product_identities_random():
     # fp(n**X) == n**fs(X) and fp(X**n) == fp(X)**n, elementwise as sets
     rng = random.Random(31)

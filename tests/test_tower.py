@@ -67,6 +67,16 @@ def test_powerform_rejects_non_canonical():
         PowerForm(1, 5)
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: ikth_root(-1, 2), DomainError, "ikth_root requires n >= 0 and k >= 1"),
+    (lambda: PowerForm(2.0, 1), DomainError, "PowerForm fields must be integers"),
+    (lambda: PowerForm(2, 1) < 3, TypeError, "'<' not supported"),
+], ids=["ikth_root_negative", "powerform_float_root", "powerform_less_than_int"])
+def test_tower_input_errors(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 def test_perfect_power_runs_only_where_a_root_enters(monkeypatch):
     calls = []
     detect = tower.perfect_power
@@ -128,6 +138,13 @@ def test_perfect_power_word_size():
     # from 2**64 up, with a root that drops below 2**64 partway through the loop
     for m, k in ((5, 77), (6, 49), (2, 7 * 7 * 2)):
         assert perfect_power(m ** k) == (m, k)
+
+
+@pytest.mark.parametrize("root", [3, 2])
+def test_perfect_power_past_the_prime_table(root):
+    # 4099 is the least prime past the table, so only the odd exponents beyond it find it
+    assert tower._PRIMES[-1] < 4099
+    assert perfect_power(root ** 4099) == (root, 4099)
 
 
 def test_word_residue_tables():
