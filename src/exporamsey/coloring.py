@@ -23,8 +23,8 @@ from typing import Iterable, Iterator, Sequence, TextIO
 from .config import Caps, DEFAULT_CAPS
 from .errors import CapacityError, DomainError, RuleEvaluationError, message_int
 from .rules import ColorRule
-from .triples import TripleHypergraph, check_triple_bound, iter_int_triples
-from .tower import _record_int, ikth_root, vertex_label
+from .triples import TripleHypergraph, check_triple_bound, iter_int_triples, vertex_labels
+from .tower import _record_int, ikth_root
 
 # Most clauses export_dimacs writes; each is a line of text, so this bounds its output.
 _CNF_CLAUSE_LIMIT = 1 << 22
@@ -233,7 +233,7 @@ def export_dimacs(
         raise CapacityError(f"a {message_int(k)}-color CNF of {nv} vertices and {len(h.edges)} "
                             f"edges has {message_int(n_clauses)} clauses, over the limit of "
                             f"{_CNF_CLAUSE_LIMIT}")
-    labels = [vertex_label(v, caps) for v in h.vertices]
+    labels = list(vertex_labels(h, caps))
     blocks = ("\n".join(lines) + "\n" for lines in _dimacs_blocks(h, k, labels, n_clauses))
     if out is None:
         return "".join(blocks)
@@ -402,9 +402,7 @@ def _raise_first_failure(rule: ColorRule, top: int) -> None:
 def coloring_record(h: TripleHypergraph, col: Coloring, caps: Caps = DEFAULT_CAPS) -> dict:
     return {
         "k": col.k,
-        "colors": {
-            vertex_label(v, caps): col.colors[i] for i, v in enumerate(h.vertices)
-        },
+        "colors": {label: col.colors[i] for i, label in enumerate(vertex_labels(h, caps))},
     }
 
 
@@ -415,8 +413,7 @@ def coloring_from_record(h: TripleHypergraph, rec: dict, caps: Caps = DEFAULT_CA
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed coloring record: {exc}") from exc
     colors = []
-    for v in h.vertices:
-        label = vertex_label(v, caps)
+    for label in vertex_labels(h, caps):
         try:
             colors.append(_record_int(mapping[label]))
         except KeyError:

@@ -6,7 +6,10 @@ str, int, bool and None, so this writer covers just those: strings go
 through the C `encode_basestring_ascii` (the ensure_ascii escaping), ints
 through `int.__repr__`, and each container is one `join`.  A list of
 non-empty rows of ints, like a hypergraph's edges, is one `%` formatting of
-all its ints, with no call per row.
+all its ints, with no call per row.  So is a list of non-empty dicts with one
+key order and only str or None values, like a hypergraph's vertex records:
+its keys go into the template, with any `%` doubled, and its values are
+encoded before the one formatting.  Every other list goes item by item.
 """
 
 from __future__ import annotations
@@ -17,6 +20,8 @@ from json.encoder import encode_basestring_ascii as _string
 _int = int.__repr__  # what json writes for an int; bool is not an int here
 _ROW_TYPES = {list, tuple}
 _INT_TYPE = {int}
+_DICT_TYPE = {dict}
+_TEXT_TYPES = {str, type(None)}
 
 
 def dumps(obj) -> str:
@@ -36,7 +41,8 @@ def _text(obj, nl: str) -> str:
     if t is list or t is tuple:
         if not obj:
             return "[]"
-        if set(map(type, obj)) <= _ROW_TYPES and all(obj) \
+        types = set(map(type, obj))
+        if types <= _ROW_TYPES and all(obj) \
                 and set(map(type, chain.from_iterable(obj))) == _INT_TYPE:
             # non-empty rows of ints, like "edges": one %d template per row length
             # and one formatting pass over all the ints, which %d writes as repr does
@@ -45,6 +51,16 @@ def _text(obj, nl: str) -> str:
                    for n in set(map(len, obj))}
             return ("[" + inner + ("," + inner).join(map(row.__getitem__, map(len, obj)))
                     + nl + "]") % tuple(chain.from_iterable(obj))
+        if types == _DICT_TYPE and obj[0] and len(set(map(tuple, obj))) == 1:
+            values = list(chain.from_iterable(map(dict.values, obj)))
+            if set(map(type, values)) <= _TEXT_TYPES:
+                # flat dicts with one key order, like "vertices": one template of the
+                # keys and one formatting pass over the encoded values
+                row_nl = inner + "  "
+                row = ("{" + row_nl + ("," + row_nl).join(
+                    [_string(key).replace("%", "%%") + ": %s" for key in obj[0]]) + inner + "}")
+                return ("[" + inner + ("," + inner).join([row] * len(obj)) + nl + "]") \
+                    % tuple(["null" if v is None else _string(v) for v in values])
         items = [_string(v) if type(v) is str else _int(v) if type(v) is int
                  else _text(v, inner) for v in obj]
         return "[" + inner + ("," + inner).join(items) + nl + "]"

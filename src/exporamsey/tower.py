@@ -66,7 +66,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cmp_to_key, total_ordering
-from operator import itemgetter
+from operator import itemgetter, sub
 
 from .config import Caps, DEFAULT_CAPS
 from .errors import CapacityError, DomainError
@@ -378,7 +378,10 @@ def sorted_forms(forms) -> list[PowerForm]:
     """Ascending value order (canonical forms, so the order is strict).
 
     Sorts by the float key of the module docstring and settles only runs of
-    near-tied keys with the exact `compare`.
+    near-tied keys with the exact `compare`.  The runs come from the gaps
+    between neighbouring keys in one pass, each gap held against the tau of
+    the largest key: keys are >= 0 and ascending, so that tau bounds every
+    per-key tau, and a run can only be longer than the per-key one.
     """
     loglog = {}  # root -> log2(log2(root)), shared by every form of a root
     keyed = []
@@ -388,16 +391,18 @@ def sorted_forms(forms) -> list[PowerForm]:
             lr = loglog[f.root] = math.log2(math.log2(f.root))
         keyed.append((math.log2(f.exponent) + lr, f))
     keyed.sort(key=itemgetter(0))
-    out = []
-    start = 0
-    prev = 0.0
-    for i, (key, f) in enumerate(keyed):
-        if i and key - prev > _KEY_TIE * max(1.0, key):
-            _settle_ties(out, start, i)
-            start = i
-        out.append(f)
-        prev = key
-    _settle_ties(out, start, len(out))
+    keys = list(map(itemgetter(0), keyed))
+    out = list(map(itemgetter(1), keyed))
+    if not out:
+        return out
+    tau = _KEY_TIE * max(1.0, keys[-1])
+    start = stop = 0  # the run out[start:stop]; out[g] and out[g + 1] share a run
+    for g in itertools.compress(itertools.count(), map(tau.__ge__, map(sub, keys[1:], keys))):
+        if g >= stop:
+            _settle_ties(out, start, stop)
+            start = g
+        stop = g + 2
+    _settle_ties(out, start, stop)
     return out
 
 
@@ -422,7 +427,11 @@ def int_text(x: int) -> str:
 
 def powerform_record(a: PowerForm, caps: Caps = DEFAULT_CAPS) -> dict:
     """JSON record with exact decimal strings; "value" is null when symbolic."""
-    v = try_evaluate(a, caps)
+    return _form_record(a, try_evaluate(a, caps))
+
+
+def _form_record(a: PowerForm, v: int | None) -> dict:
+    """`powerform_record` of a, given its value v (None when symbolic)."""
     return {
         "root": int_text(a.root),
         "exp": int_text(a.exponent),
@@ -467,5 +476,9 @@ def powerform_from_record(rec: dict, caps: Caps = DEFAULT_CAPS) -> PowerForm:
 
 def vertex_label(a: PowerForm, caps: Caps = DEFAULT_CAPS) -> str:
     """Decimal string when evaluable, else "root^exp"."""
-    v = try_evaluate(a, caps)
+    return _form_label(a, try_evaluate(a, caps))
+
+
+def _form_label(a: PowerForm, v: int | None) -> str:
+    """`vertex_label` of a, given its value v (None when symbolic)."""
     return int_text(v) if v is not None else f"{int_text(a.root)}^{int_text(a.exponent)}"

@@ -9,7 +9,7 @@ module searches.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
@@ -20,15 +20,15 @@ from .tower import (
     PowerForm,
     _canonical,
     _check_record_caps,
+    _form_label,
+    _form_record,
     _powerform_fields,
     _record_int,
     _try_value,
     compare,
     int_text,
     normalize,
-    powerform_record,
     sorted_forms,
-    try_evaluate,
 )
 
 # Largest base a, about the square root of the bound on c, that the integer
@@ -145,38 +145,50 @@ def enumerate_triples(n: int, caps: Caps = DEFAULT_CAPS) -> list[ExpTriple]:
     return found
 
 
-def _edges(verts: Sequence[PowerForm], caps: Caps) -> list[tuple[int, int, int]]:
+def _values(verts: Sequence[PowerForm], bit_cap: int) -> tuple[int | None, ...]:
+    """Each vertex's value, None past bit_cap bits."""
+    return tuple([_try_value(v.root, v.exponent, bit_cap) for v in verts])
+
+
+def _edges(
+    verts: Sequence[PowerForm], values: Sequence[int | None]
+) -> list[tuple[int, int, int]]:
     """Index triples (a, b, c) over distinct, ascending `verts`, ordered by (c, a, b).
 
-    Only explicitly evaluable b are tried.  Each hit satisfies the triple
-    relation by construction, so no `ExpTriple` is built to check it.
+    values[j] is verts[j]'s value, None when symbolic; only evaluable b are
+    tried.  The walk goes root by root over that root's {exponent: index}
+    map, a.exponent * value(b) bounded by the root's largest exponent: every
+    edge's c shares a's root.  Within a root, exponents and indices ascend
+    together, so the edges of one c come out in (a, b) order, and the stable
+    sort on c keeps it.  Each hit satisfies the triple relation by
+    construction, so no `ExpTriple` is built to check it.
     """
     by_root: dict[int, dict[int, int]] = {}  # root -> {exponent: vertex index}
     for i, v in enumerate(verts):
         by_root.setdefault(v.root, {})[v.exponent] = i
-    top = {root: max(exps) for root, exps in by_root.items()}
     # ascending by value, so a.exponent * vb grows along the inner loop
-    evaluable = [
-        (j, vb) for j, v in enumerate(verts) if (vb := try_evaluate(v, caps)) is not None
-    ]
+    evaluable = [(j, vb) for j, vb in enumerate(values) if vb is not None]
     found = []
-    for i, a in enumerate(verts):
-        same_root, limit = by_root[a.root], top[a.root]
-        for j, vb in evaluable:
-            exp = a.exponent * vb
-            if exp > limit:
-                break
-            k = same_root.get(exp)
-            if k is not None:
-                found.append((i, j, k))
-    found.sort(key=itemgetter(2))  # stable: ties stay in (a, b) order
+    for same_root in by_root.values():
+        limit = max(same_root)
+        get = same_root.get
+        for a_exp, i in same_root.items():
+            for j, vb in evaluable:
+                exp = a_exp * vb
+                if exp > limit:
+                    break
+                k = get(exp)
+                if k is not None:
+                    found.append((i, j, k))
+    found.sort(key=itemgetter(2))
     return found
 
 
 def triples_within(forms: Iterable[PowerForm], caps: Caps = DEFAULT_CAPS) -> list[ExpTriple]:
     """All triples with a, b, c in the set and b explicitly evaluable."""
     verts = sorted_forms(set(forms))
-    return [_triple(verts[a], verts[b], verts[c]) for a, b, c in _edges(verts, caps)]
+    edges = _edges(verts, _values(verts, caps.value_bit_cap))
+    return [_triple(verts[a], verts[b], verts[c]) for a, b, c in edges]
 
 
 @dataclass(frozen=True)
@@ -197,11 +209,32 @@ class TripleHypergraph:
     Every edge (a, b, c) the package builds (`exp_closure`, `sub_hypergraph`,
     `hypergraph_from_record`) has c as its strictly largest index, because
     a^b > a, b for values of at least 2.
+
+    Those builders also keep each vertex's value, None when symbolic, in
+    `values`, computed under `values_bit_cap`; labels and records read it
+    through `vertex_values`.  Neither field takes part in equality.
     """
 
     vertices: tuple[PowerForm, ...]
     edges: tuple[tuple[int, int, int], ...]
     meta: ClosureMeta
+    values: tuple[int | None, ...] | None = field(default=None, compare=False, repr=False)
+    values_bit_cap: int | None = field(default=None, compare=False, repr=False)
+
+
+def vertex_values(h: TripleHypergraph, caps: Caps = DEFAULT_CAPS) -> tuple[int | None, ...]:
+    """Each vertex's value, None past caps.value_bit_cap bits.
+
+    h's own table when it was computed under that cap, else computed here.
+    """
+    if h.values is not None and h.values_bit_cap == caps.value_bit_cap:
+        return h.values
+    return _values(h.vertices, caps.value_bit_cap)
+
+
+def vertex_labels(h: TripleHypergraph, caps: Caps = DEFAULT_CAPS) -> Iterator[str]:
+    """`vertex_label` of each vertex in turn, from `vertex_values`."""
+    return map(_form_label, h.vertices, vertex_values(h, caps))
 
 
 def exp_closure(seeds: Iterable[int], depth: int, caps: Caps = DEFAULT_CAPS) -> TripleHypergraph:
@@ -226,6 +259,9 @@ def exp_closure(seeds: Iterable[int], depth: int, caps: Caps = DEFAULT_CAPS) -> 
     vertices = {(f.root, f.exponent) for f in (normalize(s, caps) for s in seed_list)}
     dropped = 0
     truncated = 0
+    # The sorted vertices of the last round that truncated.  A cut leaves exactly
+    # vertex_budget vertices, so a later round either cuts again or adds none.
+    kept = None
     for _ in range(depth):
         values = sorted(vb for root, exp in vertices
                         if (vb := _try_value(root, exp, caps.value_bit_cap)) is not None)
@@ -243,7 +279,8 @@ def exp_closure(seeds: Iterable[int], depth: int, caps: Caps = DEFAULT_CAPS) -> 
             truncated += len(vertices) - len(kept)
             vertices = {(f.root, f.exponent) for f in kept}
 
-    verts = tuple(_sorted_pairs(vertices))
+    verts = tuple(kept if kept is not None else _sorted_pairs(vertices))
+    table = _values(verts, caps.value_bit_cap)
     meta = ClosureMeta(
         seeds=tuple(seed_list),
         depth=depth,
@@ -253,7 +290,8 @@ def exp_closure(seeds: Iterable[int], depth: int, caps: Caps = DEFAULT_CAPS) -> 
         dropped_count=dropped,
         truncated_count=truncated,
     )
-    return TripleHypergraph(vertices=verts, edges=tuple(_edges(verts, caps)), meta=meta)
+    return TripleHypergraph(vertices=verts, edges=tuple(_edges(verts, table)), meta=meta,
+                            values=table, values_bit_cap=caps.value_bit_cap)
 
 
 def _sorted_pairs(pairs) -> list[PowerForm]:
@@ -272,13 +310,15 @@ def sub_hypergraph(h: TripleHypergraph, indices: Iterable[int]) -> TripleHypergr
         if a in remap and b in remap and c in remap
     )
     return TripleHypergraph(
-        vertices=tuple(h.vertices[i] for i in keep), edges=edges, meta=h.meta
+        vertices=tuple(h.vertices[i] for i in keep), edges=edges, meta=h.meta,
+        values=None if h.values is None else tuple(h.values[i] for i in keep),
+        values_bit_cap=h.values_bit_cap,
     )
 
 
 def hypergraph_record(h: TripleHypergraph, caps: Caps = DEFAULT_CAPS) -> dict:
     return {
-        "vertices": [powerform_record(v, caps) for v in h.vertices],
+        "vertices": list(map(_form_record, h.vertices, vertex_values(h, caps))),
         "edges": h.edges,
         "meta": {
             "seeds": [int_text(s) for s in h.meta.seeds],
@@ -322,4 +362,6 @@ def hypergraph_from_record(rec: dict, caps: Caps = DEFAULT_CAPS) -> TripleHyperg
         if len(e) != 3 or any(i < 0 or i >= len(verts) for i in e):
             raise DomainError(f"edge {e} out of range")
         ExpTriple(verts[e[0]], verts[e[1]], verts[e[2]])  # validates the relation
-    return TripleHypergraph(vertices=verts, edges=tuple(raw_edges), meta=meta)
+    return TripleHypergraph(vertices=verts, edges=tuple(raw_edges), meta=meta,
+                            values=_values(verts, caps.value_bit_cap),
+                            values_bit_cap=caps.value_bit_cap)

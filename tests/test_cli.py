@@ -14,6 +14,7 @@ import pytest
 import exporamsey
 from exporamsey import cli
 from exporamsey.cli import main
+from exporamsey.tower import vertex_label
 
 import schemas
 from oracles import parse_dimacs
@@ -673,8 +674,18 @@ def test_deterministic_byte_identical():
 @pytest.mark.parametrize("argv", [
     ("closure", "--seeds", "2,3", "--depth", "2"),
     ("color", "solve", "--seeds", "2,3", "--depth", "2", "--k", "3"),
+    ("--vertex-budget", "200", "closure", "--seeds", "8,9", "--depth", "3"),
+    ("--vertex-budget", "200", "color", "export-cnf", "--seeds", "8,9", "--depth", "3",
+     "--k", "3"),
+    ("--vertex-budget", "200", "color", "check", "--seeds", "8,9", "--depth", "3",
+     "--coloring", "{f}"),
 ])
-def test_byte_identical_across_processes(argv):
+def test_byte_identical_across_processes(tmp_path, argv):
+    coloring = tmp_path / "col.json"
+    h = exporamsey.exp_closure({8, 9}, 3, exporamsey.Caps(vertex_budget=200))
+    colors = {vertex_label(v): i % 2 for i, v in enumerate(h.vertices)}
+    coloring.write_text(json.dumps({"k": 2, "colors": colors}))
+    argv = [a.format(f=coloring) for a in argv]
     outputs = []
     for hash_seed in ("0", "12345"):  # set and str iteration order differ between these
         env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=_SRC)

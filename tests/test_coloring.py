@@ -273,7 +273,7 @@ def test_dimacs_clause_limit(monkeypatch):
     def no_labels(*args):
         raise AssertionError("export_dimacs built a vertex label")
 
-    monkeypatch.setattr(coloring, "vertex_label", no_labels)
+    monkeypatch.setattr("exporamsey.triples._form_label", no_labels)
     tracemalloc.start()
     try:
         for k in (3000, 10 ** 12, 10 ** 5000):

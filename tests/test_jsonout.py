@@ -23,8 +23,30 @@ def _int(rng):
     return n if rng.random() < 0.5 else -n
 
 
+def _flat_dicts(rng):
+    """Rows of str or None values under one key order, like "vertices", sometimes
+    with a row that leaves that shape."""
+    keys = [_string(rng) + rng.choice(("", "%", "%s", "%%")) for _ in range(rng.randrange(4))]
+    rows = [{key: rng.choice((_string(rng) + rng.choice(("", "%s")), None)) for key in keys}
+            for _ in range(rng.randrange(6))]
+    if rows and rng.random() < 0.3:
+        row = rows[rng.randrange(len(rows))]
+        change = rng.randrange(4)
+        if change == 0:
+            row.clear()
+        elif change == 1:
+            row[_string(rng) + "!"] = None  # a key the other rows lack
+        elif change == 2 and row:
+            row[next(iter(row))] = rng.choice((1, True, False, ["x"], {"k": "v"}))
+        else:  # the same keys in another order
+            items = list(row.items())[::-1]
+            row.clear()
+            row.update(items)
+    return rows
+
+
 def _value(rng, depth):
-    kind = rng.randrange(8 if depth < 4 else 4)
+    kind = rng.randrange(9 if depth < 4 else 4)
     if kind == 0:
         return _string(rng)
     if kind == 1:
@@ -44,6 +66,8 @@ def _value(rng, depth):
         if rows and rng.random() < 0.3:
             rows[rng.randrange(len(rows))] = rng.choice(([], [True], (), [1, False]))
         return [tuple(r) if rng.random() < 0.2 else r for r in rows]
+    if kind == 7:
+        return _flat_dicts(rng)
     return {_string(rng): v for v in items}
 
 
@@ -65,6 +89,15 @@ def test_random_values_match_json_dumps():
     [[10 ** 1000, -(10 ** 1001)], [-1, 0]], {"edges": [[0, 0, 1], [0, 1, 2]], "count": 2},
     [[1, 2], {"a": 1}], [[1, 2], "s"], [[1, 2], 3], [[True, False]], [[False]],
     [["%d", "%s"], [1, 2]],
+    # flat dicts with one key order, and dicts that leave that shape
+    [{"root": "2", "exp": "1", "value": "2"}, {"root": "2", "exp": "5000", "value": None}],
+    [{"%": "%s", "a%%b": "%%", "%s": "100%"}, {"%": "%d", "a%%b": None, "%s": "%(x)s"}],
+    [{"k\u00e9\n\"": "\u03a9", "\U0001f600": None}, {"k\u00e9\n\"": "", "\U0001f600": "\x00"}],
+    [{"a": "1", "b": "2"}, {"b": "2", "a": "1"}], [{"a": "1"}, {"b": "1"}],
+    [{"a": "1"}, {"a": "1", "b": "2"}], [{"a": "1"}, {"a": 1}], [{"a": "1"}, {"a": True}],
+    [{"a": None}, {"a": False}], [{"a": "1"}, {"a": ["1"]}], [{"a": {"b": "c"}}],
+    [{"a": "1"}, {}], [{}, {}], [{}], [{"a": "%s"}], [{"a": None}], [{"a": "1"}, ["a"]],
+    ({"a": "1"}, {"a": "2"}), {"rows": [{"x": "1", "y": None}] * 3, "n": 3},
 ])
 def test_edge_cases_match_json_dumps(obj):
     assert jsonout.dumps(obj) == json.dumps(obj, indent=2) + "\n"
@@ -78,7 +111,8 @@ def test_output_is_ascii_and_tuples_are_lists():
 
 @pytest.mark.parametrize("obj", [1.5, {1: "int key"}, {"s"}, b"bytes", [[1, 2.0, 3]],
                                  [[1, 2], [3, 1.5]], [[1, 2], [b"x"]], [[1], [{"s"}]],
-                                 [(1, 2), {1: 2}]])
+                                 [(1, 2), {1: 2}], [{"a": "1"}, {"a": 1.5}], [{1: "a"}, {1: "b"}],
+                                 [{"a": b"x"}]])
 def test_other_types_refused(obj):
     with pytest.raises(TypeError):
         jsonout.dumps(obj)

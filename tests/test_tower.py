@@ -478,6 +478,25 @@ def test_sorted_forms_adversarial_near_ties():
     assert sorted_forms([]) == []
 
 
+def test_sorted_forms_settles_wide_near_ties():
+    # 3^m < 2^e < 3^(m + 1) for m = floor(e / log2 3): with e hundreds to thousands of bits
+    # wide their float keys tie, so only the exact compare orders each run
+    rng = random.Random(43)
+    forms = []
+    for bits in (8, 40, 200, 700, 1500, 2048):
+        e = rng.getrandbits(bits) | (1 << (bits - 1))
+        with localcontext() as ctx:
+            ctx.prec = len(str(e)) + 40
+            m = int(Decimal(e) * Decimal(2).ln() / Decimal(3).ln())
+        forms += [PowerForm(2, e), PowerForm(3, m), PowerForm(3, m + 1), PowerForm(2, e + 1)]
+        if bits >= 200:  # the keys of 2^e and 3^m tie within tau
+            assert abs(_float_key(forms[-3]) - _float_key(forms[-4])) <= 2.0 ** -44
+    want = _exact_sorted(forms)
+    for _ in range(2):
+        rng.shuffle(forms)
+        assert sorted_forms(forms) == want
+
+
 def test_sorted_forms_rarely_falls_back_to_compare(monkeypatch):
     verts = list(exp_closure({2, 3, 5}, 2).vertices)
     calls = []

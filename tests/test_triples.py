@@ -1,5 +1,6 @@
 """Triple enumeration and closure hypergraphs against double-loop oracles."""
 
+import json
 import random
 import time
 import tracemalloc
@@ -7,25 +8,35 @@ import tracemalloc
 import pytest
 
 from exporamsey import (
+    LT,
     CapacityError,
     Caps,
+    Coloring,
     DomainError,
     PowerForm,
+    TripleHypergraph,
+    compare,
     enumerate_triples,
     evaluate,
     exp_closure,
+    export_dimacs,
     normalize,
     sub_hypergraph,
     triples_within,
+    try_evaluate,
 )
 from exporamsey import tower as tower_mod
 from exporamsey import triples
+from exporamsey.cli import main
+from exporamsey.coloring import coloring_from_record, coloring_record
+from exporamsey.tower import powerform_record, vertex_label
 from exporamsey.triples import (
     ExpTriple,
     check_triple_bound,
     hypergraph_from_record,
     hypergraph_record,
     iter_int_triples,
+    vertex_labels,
 )
 
 from oracles import canonical_pair, closure_edges_oracle, perfect_power_oracle, triples_oracle
@@ -297,3 +308,76 @@ def test_closure_random_subsets_still_valid():
         sub = sub_hypergraph(h, rng.sample(range(len(h.vertices)), k))
         for a, b, c in sub.edges:
             ExpTriple(sub.vertices[a], sub.vertices[b], sub.vertices[c])  # checks the relation
+
+
+def _assert_table_agrees(h, caps):
+    """Labels and vertex records read off h's value table match the per-vertex writers."""
+    labels = [vertex_label(v, caps) for v in h.vertices]
+    assert list(vertex_labels(h, caps)) == labels
+    assert hypergraph_record(h, caps)["vertices"] == [powerform_record(v, caps)
+                                                      for v in h.vertices]
+    col = Coloring(2, tuple(i % 2 for i in range(len(h.vertices))))
+    rec = coloring_record(h, col, caps)
+    assert rec["colors"] == dict(zip(labels, col.colors))
+    assert coloring_from_record(h, rec, caps) == col
+    comments = [line for line in export_dimacs(h, 2, caps).splitlines() if line.startswith("c v ")]
+    assert comments == [f"c v {i} {label} var {i + 1}" for i, label in enumerate(labels)]
+
+
+@pytest.mark.parametrize("seeds, depth, caps", [
+    ({6, 7}, 3, Caps()),
+    ({8, 9}, 3, Caps(vertex_budget=200)),  # cut in the last round only
+    ({2, 3}, 3, Caps(vertex_budget=10)),  # cut in rounds 2 and 3
+    ({2, 1000}, 3, Caps(vertex_budget=2, exp_bit_cap=2)),  # cut in round 1 only
+    ({2, 3}, 2, Caps(value_bit_cap=8)),  # wider values are labelled root^exp
+], ids=["plain", "cut_last", "cut_2_and_3", "cut_first", "value_bit_cap_8"])
+def test_value_table_matches_per_vertex_writers(seeds, depth, caps):
+    h = exp_closure(seeds, depth, caps)
+    assert h.values == tuple(try_evaluate(v, caps) for v in h.vertices)
+    assert h.values_bit_cap == caps.value_bit_cap
+    assert all(compare(x, y) == LT for x, y in zip(h.vertices, h.vertices[1:]))
+    pairs = [(v.root, v.exponent) for v in h.vertices]
+    assert list(h.edges) == closure_edges_oracle(pairs, caps.value_bit_cap)
+    if caps.value_bit_cap == 8:
+        assert "2^16" in list(vertex_labels(h, caps))
+    sub = sub_hypergraph(h, range(0, len(h.vertices), 3))
+    back = hypergraph_from_record(hypergraph_record(h, caps), caps)
+    bare = TripleHypergraph(h.vertices, h.edges, h.meta)  # no table: computed on use
+    assert back == h and bare == h and bare.values is None
+    for g in (h, sub, back, bare):
+        _assert_table_agrees(g, caps)
+        # a caller with another value_bit_cap gets that cap's values
+        for other in (Caps(value_bit_cap=8), Caps(value_bit_cap=64), Caps()):
+            _assert_table_agrees(g, other)
+
+
+def test_truncated_closure_vertices():
+    # a cut in round 1 only: round 2 adds nothing, and round 1's sorted list stands
+    h = exp_closure({2, 1000}, 3, Caps(vertex_budget=2, exp_bit_cap=2))
+    assert h.vertices == (PowerForm(2, 1), PowerForm(2, 2))
+    assert (h.meta.truncated_count, h.meta.dropped_count) == (1, 9)
+    assert h.edges == ((0, 0, 1),)
+    # cuts in rounds 2 and 3: the 10 smallest of the last round's vertices
+    h = exp_closure({2, 3}, 3, Caps(vertex_budget=10))
+    assert [evaluate(v) for v in h.vertices] == [2, 3, 4, 8, 9, 16, 27, 64, 81, 256]
+
+
+@pytest.mark.parametrize("argv", [
+    ["closure", "--seeds", "6,7", "--depth", "3"],
+    ["color", "export-cnf", "--seeds", "6,7", "--depth", "3", "--k", "3"],
+], ids=["closure", "export_cnf"])
+def test_closure_job_evaluates_each_vertex_once(monkeypatch, capsys, argv):
+    calls = []
+    exact = tower_mod._try_value
+
+    def counting(*args):
+        calls.append(args)
+        return exact(*args)
+
+    monkeypatch.setattr(tower_mod, "_try_value", counting)
+    monkeypatch.setattr(triples, "_try_value", counting)
+    assert main(argv) == 0
+    # 40 evaluations in the closure rounds, then one per vertex of the 260
+    assert len(calls) == 300
+    if argv[0] == "closure":
+        assert len(json.loads(capsys.readouterr().out)["vertices"]) == 260
